@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,38 +39,23 @@ from .params import (
 _ALL_FIELDS = REQUIRED_FIELDS + OPTIONAL_FIELDS
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Resolved invocation: what to run, where parameters came from, where output goes."""
-
-    subcommand: str
-    param_source: str  # "file", "flags", or "file+flags"
-    output_target: str  # "stdout" or a path
-    output_format: str  # "csv" or "keyvalue"
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _gather_params(args: argparse.Namespace) -> tuple[ModelParams, str]:
+def _gather_params(args: argparse.Namespace) -> ModelParams:
     values: dict[str, float] = {}
-    sources = []
     if args.config:
         values.update(read_params_file(args.config))
-        sources.append("file")
     flagged = {
         name: getattr(args, name) for name in _ALL_FIELDS if getattr(args, name) is not None
     }
-    if flagged:
-        values.update(flagged)
-        sources.append("flags")
-    if not sources:
+    values.update(flagged)
+    if not args.config and not flagged:
         raise ParameterError(
             "parameters", None, "supply --config and/or individual parameter flags"
         )
-    p = validate(from_mapping(values))
-    return p, "+".join(sources)
+    return validate(from_mapping(values))
 
 
 def _echo_params(p: ModelParams, fh) -> None:
@@ -81,21 +66,12 @@ def _echo_params(p: ModelParams, fh) -> None:
 
 
 @contextlib.contextmanager
-def _open_output(target: str):
-    if target == "stdout":
+def _open_output(target: str | None):
+    if not target:
         yield sys.stdout
     else:
         with open(target, "w", encoding="utf-8", newline="") as fh:
             yield fh
-
-
-def _runspec(args: argparse.Namespace, source: str, fmt: str) -> RunSpec:
-    return RunSpec(
-        subcommand=args.cmd,
-        param_source=source,
-        output_target=args.output if args.output else "stdout",
-        output_format=fmt,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -103,8 +79,7 @@ def _runspec(args: argparse.Namespace, source: str, fmt: str) -> RunSpec:
 
 
 def cmd_barriers(args: argparse.Namespace) -> int:
-    p, source = _gather_params(args)
-    rs = _runspec(args, source, "keyvalue")
+    p = _gather_params(args)
     e = closed_form.exponents(p)
     beta0 = closed_form.optimal_barrier_beta0(p)
     lines = [
@@ -127,15 +102,14 @@ def cmd_barriers(args: argparse.Namespace) -> int:
         lines.append(
             f"value_at_beta2 = {_fmt(injections.value_injections(beta2, 1.0, beta2, p.alpha0, p))}"
         )
-    with _open_output(rs.output_target) as fh:
+    with _open_output(args.output) as fh:
         _echo_params(p, fh)
         fh.write("\n".join(lines) + "\n")
     return 0
 
 
 def cmd_value(args: argparse.Namespace) -> int:
-    p, source = _gather_params(args)
-    rs = _runspec(args, source, "keyvalue")
+    p = _gather_params(args)
     scale = args.scale if args.scale is not None else 1.0
     if not scale > 0.0:
         raise DomainError(f"--scale {scale!r} must be positive")
@@ -174,7 +148,7 @@ def cmd_value(args: argparse.Namespace) -> int:
         f"dvalue_dx1 = {_fmt(d1)}",
         f"dvalue_dx2 = {_fmt(d2)}",
     ]
-    with _open_output(rs.output_target) as fh:
+    with _open_output(args.output) as fh:
         _echo_params(p, fh)
         fh.write("\n".join(lines) + "\n")
     return 0
@@ -199,8 +173,7 @@ def _build_policy(args: argparse.Namespace, p: ModelParams, suffix: str = ""):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    p, source = _gather_params(args)
-    rs = _runspec(args, source, "csv")
+    p = _gather_params(args)
     cfg = simulate.SimConfig(
         x1_0=args.x1_0,
         x2_0=args.x2_0,
@@ -217,7 +190,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         policy_a, cf_a = _build_policy(args, p)
         policy_b, cf_b = _build_policy(args, p, suffix="_b")
         paired = simulate.paired_compare(cfg, policy_a, policy_b, p)
-        with _open_output(rs.output_target) as fh:
+        with _open_output(args.output) as fh:
             _echo_params(p, fh)
             simulate.write_paired_csv(paired, fh)
             fh.write("\n")
@@ -245,7 +218,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         else result.summary.se_pv_dividends
     )
     z = (mc_mean - cf_value) / mc_se if mc_se > 0.0 else float("nan")
-    with _open_output(rs.output_target) as fh:
+    with _open_output(args.output) as fh:
         _echo_params(p, fh)
         simulate.write_paths_csv(result, fh)
         fh.write("\n")
@@ -258,8 +231,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    p, source = _gather_params(args)
-    rs = _runspec(args, source, "csv")
+    p = _gather_params(args)
     rows: list[str] = []
     if args.kind == "beta2-vs-kappa":
         header = "kappa,beta2_star"
@@ -298,7 +270,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"{_fmt(sigma_a)},{_fmt(kappa_star)},"
                 f"{_fmt(injections.optimal_barrier_beta2(replace(pk, kappa=kappa_star)))}"
             )
-    with _open_output(rs.output_target) as fh:
+    with _open_output(args.output) as fh:
         _echo_params(p, fh)
         fh.write(header + "\n")
         for row in rows:
@@ -307,8 +279,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    p, source = _gather_params(args)
-    rs = _runspec(args, source, "keyvalue")
+    p = _gather_params(args)
     problems = ("solvency", "injection") if args.problem == "both" else (args.problem,)
     if args.barrier_override is not None and len(problems) > 1:
         raise ConfigError("--barrier-override needs an explicit --problem")
@@ -326,7 +297,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     p, barrier=args.barrier_override, mode=args.mode
                 )
             )
-    with _open_output(rs.output_target) as fh:
+    with _open_output(args.output) as fh:
         _echo_params(p, fh)
         fh.write("\n\n".join(r.to_text() for r in reports) + "\n")
     return 0 if all(r.passed for r in reports) else 2

@@ -22,8 +22,10 @@ x1-slope to one at the payout ray gives, with u = r / alpha0,
     denom(beta)     = zeta1 (beta/alpha0)^(zeta1-1) - zeta2 (beta/alpha0)^(zeta2-1),
 
 on the band, and the linear continuation x1 - beta x2 + V(beta x2, x2; beta)
-above it.  The payout level maximising V turns the one-sided second
-derivative at the barrier to zero (smooth fit) and is
+above it: the case gamma = alpha0, A = -B = alpha0 / denom of
+:class:`ClosedFormValue`, which also holds the band with forced injections.
+The payout level maximising V turns the one-sided second derivative at the
+barrier to zero (smooth fit) and is
 
     beta0* = alpha0 * (zeta1 (zeta1 - 1) / (zeta2 (zeta2 - 1)))^(1 / (zeta2 - zeta1)),
 
@@ -91,25 +93,29 @@ def exponents(p: ModelParams) -> Exponents:
 
 @dataclass(frozen=True)
 class ClosedFormValue:
-    """Piecewise value of a fixed-barrier dividend strategy.
+    """Piecewise value of a barrier policy, for both dividend problems.
 
-    ``coeff1``/``coeff2`` are the weights of x1^zeta1 x2^(1-zeta1) and
-    x1^zeta2 x2^(1-zeta2) on the continuation band; ``denom`` is the
-    barrier-dependent denominator they share.  Evaluation uses the
-    u = r/alpha0 form, which is algebraically identical and returns an exact
-    zero on the ruin ray.
+    On the band gamma <= r <= beta of the funding ratio r = x1/x2 the value
+    is x2 * (A u^zeta1 + B u^zeta2) with u = r / gamma.  Above the payout ray
+    it continues linearly with slope one (pay the overshoot), below the
+    injection ray with slope ``kappa`` (inject up to gamma).  The ruin-stopped
+    value is the case gamma = alpha0, B = -A, which is exactly zero on the
+    ruin ray; ratios below alpha0 are rejected, so it never uses ``kappa``.
     """
 
     beta: float
+    gamma: float
     alpha0: float
+    kappa: float | None
     exponents: Exponents
-    coeff1: float
-    coeff2: float
-    denom: float
+    A: float
+    B: float
 
     @property
     def seam_ratios(self) -> tuple[float, ...]:
         """Funding ratios where the formula switches branch (kinks)."""
+        if self.gamma > self.alpha0:
+            return (self.gamma, self.beta)
         return (self.beta,)
 
     def _ratio(self, x1: float, x2: float) -> float:
@@ -120,48 +126,48 @@ class ClosedFormValue:
             raise DomainError(f"x1/x2 = {r!r} lies below the ruin level alpha0 = {self.alpha0!r}")
         return r
 
+    def _band(self, r: float) -> float:
+        u = r / self.gamma
+        return self.A * _rpow(u, self.exponents.zeta1) + self.B * _rpow(u, self.exponents.zeta2)
+
     def value_at_barrier(self, x2: float = 1.0) -> float:
         """Value on the payout ray, V(beta * x2, x2)."""
-        u = self.beta / self.alpha0
-        return self.alpha0 * x2 * (_rpow(u, self.exponents.zeta1) - _rpow(u, self.exponents.zeta2)) / self.denom
+        return x2 * self._band(self.beta)
 
     def evaluate(self, x1: float, x2: float) -> float:
-        """Value at (x1, x2); the barrier ray itself uses the band formula."""
+        """Value at (x1, x2); both barrier rays use the band formula."""
         r = self._ratio(x1, x2)
+        if r < self.gamma:
+            return self.kappa * (x1 - self.gamma * x2) + x2 * self._band(self.gamma)
         if r <= self.beta:
-            u = r / self.alpha0
-            num = _rpow(u, self.exponents.zeta1) - _rpow(u, self.exponents.zeta2)
-            return self.alpha0 * x2 * num / self.denom
+            return x2 * self._band(r)
         return x1 - self.beta * x2 + self.value_at_barrier(x2)
 
     def partials(self, x1: float, x2: float) -> tuple[float, float, float, float, float]:
         """Exact branch partials (dV/dx1, dV/dx2, d2V/dx1^2, d2V/dx2^2, d2V/dx1dx2)."""
         r = self._ratio(x1, x2)
-        z1, z2 = self.exponents.zeta1, self.exponents.zeta2
+        if r < self.gamma:
+            return (self.kappa, self._band(self.gamma) - self.kappa * self.gamma, 0.0, 0.0, 0.0)
         if r <= self.beta:
-            u = r / self.alpha0
-            u1, u2 = _rpow(u, z1), _rpow(u, z2)
-            d1 = (z1 * u1 / u - z2 * u2 / u) / self.denom
-            d2 = self.alpha0 * ((1.0 - z1) * u1 - (1.0 - z2) * u2) / self.denom
-            curv = (z1 * (z1 - 1.0) * u1 - z2 * (z2 - 1.0) * u2) / self.denom
-            d11 = curv / (u * u * self.alpha0 * x2)
-            d22 = self.alpha0 * curv / x2
-            d12 = -curv / (u * x2)
-            return (d1, d2, d11, d22, d12)
-        return (1.0, self.value_at_barrier(1.0) - self.beta, 0.0, 0.0, 0.0)
+            z1, z2 = self.exponents.zeta1, self.exponents.zeta2
+            u = r / self.gamma
+            t1, t2 = self.A * _rpow(u, z1), self.B * _rpow(u, z2)
+            d1 = (z1 * t1 + z2 * t2) / r
+            d2 = (1.0 - z1) * t1 + (1.0 - z2) * t2
+            curv = z1 * (z1 - 1.0) * t1 + z2 * (z2 - 1.0) * t2
+            return (d1, d2, curv / (r * r * x2), curv / x2, -curv / (r * x2))
+        return (1.0, self._band(self.beta) - self.beta, 0.0, 0.0, 0.0)
 
 
 def closed_form_value(beta: float, p: ModelParams) -> ClosedFormValue:
-    """Build the piecewise value function for an arbitrary admissible barrier."""
+    """Build the ruin-stopped value function for an arbitrary admissible barrier."""
     e = exponents(p)
     if not beta >= p.alpha0:
         raise DomainError(f"barrier beta = {beta!r} must be >= alpha0 = {p.alpha0!r}")
     w = beta / p.alpha0
-    denom = e.zeta1 * _rpow(w, e.zeta1 - 1.0) - e.zeta2 * _rpow(w, e.zeta2 - 1.0)
-    coeff1 = _rpow(p.alpha0, 1.0 - e.zeta1) / denom
-    coeff2 = -_rpow(p.alpha0, 1.0 - e.zeta2) / denom
+    a = p.alpha0 / (e.zeta1 * _rpow(w, e.zeta1 - 1.0) - e.zeta2 * _rpow(w, e.zeta2 - 1.0))
     return ClosedFormValue(
-        beta=beta, alpha0=p.alpha0, exponents=e, coeff1=coeff1, coeff2=coeff2, denom=denom
+        beta=beta, gamma=p.alpha0, alpha0=p.alpha0, kappa=None, exponents=e, A=a, B=-a
     )
 
 

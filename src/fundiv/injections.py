@@ -5,12 +5,14 @@ overshoot above ``beta`` is paid out, shortfall below ``gamma`` is injected at
 proportional cost ``kappa`` > 1, and ruin never happens.  On the band the
 value is the two-power combination
 
-    V(x1, x2) = C1 x1^zeta1 x2^(1-zeta1) + C2 x1^zeta2 x2^(1-zeta2),
+    V(x1, x2) = x2 (A u^zeta1 + B u^zeta2),      u = x1 / (gamma x2),
 
-with the coefficients pinned by the slope conditions dV/dx1 = 1 on the payout
+with the weights pinned by the slope conditions dV/dx1 = 1 on the payout
 ray and dV/dx1 = kappa on the injection ray.  Below gamma the value continues
 linearly with slope kappa (inject immediately up to gamma), above beta with
-slope one (pay the overshoot immediately).
+slope one (pay the overshoot immediately).  The value is a
+:class:`~fundiv.closed_form.ClosedFormValue`, the same class as the
+ruin-stopped value.
 
 Scaling both barriers by the same factor scales the value, so the optimal
 injection ray is the lowest admissible one, gamma* = alpha0.  The optimal
@@ -30,14 +32,13 @@ both for round-trip testing and for break-even analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from .closed_form import Exponents, _rpow, exponents
+from .closed_form import ClosedFormValue, _rpow, exponents
 from .errors import BracketFailure, DomainError, MonotonicityError, NoBreakeven
 from .params import ModelParams, require_kappa, validate
 
 __all__ = [
-    "DoubleBarrierValue",
     "coefficients",
     "double_barrier_value",
     "value_injections",
@@ -52,62 +53,6 @@ __all__ = [
 MAX_DOUBLINGS = 60
 
 
-@dataclass(frozen=True)
-class DoubleBarrierValue:
-    """Piecewise value of a fixed (payout ``beta``, injection ``gamma``) policy."""
-
-    beta: float
-    gamma: float
-    kappa: float
-    alpha0: float
-    exponents: Exponents
-    C1: float
-    C2: float
-
-    @property
-    def seam_ratios(self) -> tuple[float, ...]:
-        """Funding ratios where the formula switches branch (kinks)."""
-        if self.gamma > self.alpha0:
-            return (self.gamma, self.beta)
-        return (self.beta,)
-
-    def _ratio(self, x1: float, x2: float) -> float:
-        if not x2 > 0.0:
-            raise DomainError(f"x2 = {x2!r} must be positive")
-        r = x1 / x2
-        if r < self.alpha0:
-            raise DomainError(f"x1/x2 = {r!r} lies below alpha0 = {self.alpha0!r}")
-        return r
-
-    def _band(self, r: float) -> float:
-        z = self.exponents
-        return self.C1 * _rpow(r, z.zeta1) + self.C2 * _rpow(r, z.zeta2)
-
-    def evaluate(self, x1: float, x2: float) -> float:
-        """Value at (x1, x2); both barrier rays use the band formula."""
-        r = self._ratio(x1, x2)
-        if r < self.gamma:
-            return self.kappa * (x1 - self.gamma * x2) + x2 * self._band(self.gamma)
-        if r <= self.beta:
-            return x2 * self._band(r)
-        return x1 - self.beta * x2 + x2 * self._band(self.beta)
-
-    def partials(self, x1: float, x2: float) -> tuple[float, float, float, float, float]:
-        """Exact branch partials (dV/dx1, dV/dx2, d2V/dx1^2, d2V/dx2^2, d2V/dx1dx2)."""
-        r = self._ratio(x1, x2)
-        z1, z2 = self.exponents.zeta1, self.exponents.zeta2
-        if r < self.gamma:
-            return (self.kappa, self._band(self.gamma) - self.kappa * self.gamma, 0.0, 0.0, 0.0)
-        if r <= self.beta:
-            t1 = self.C1 * _rpow(r, z1)
-            t2 = self.C2 * _rpow(r, z2)
-            d1 = (z1 * t1 + z2 * t2) / r
-            d2 = (1.0 - z1) * t1 + (1.0 - z2) * t2
-            curv = z1 * (z1 - 1.0) * t1 + z2 * (z2 - 1.0) * t2
-            return (d1, d2, curv / (r * r * x2), curv / x2, -curv / (r * x2))
-        return (1.0, self._band(self.beta) - self.beta, 0.0, 0.0, 0.0)
-
-
 def _check_band(beta: float, gamma: float, p: ModelParams) -> None:
     if not gamma >= p.alpha0:
         raise DomainError(f"gamma = {gamma!r} must be >= alpha0 = {p.alpha0!r}")
@@ -115,41 +60,38 @@ def _check_band(beta: float, gamma: float, p: ModelParams) -> None:
         raise DomainError(f"beta = {beta!r} must exceed gamma = {gamma!r}")
 
 
-def coefficients(beta: float, gamma: float, p: ModelParams) -> tuple[float, float]:
-    """Band coefficients (C1, C2) fixed by the two slope conditions.
+def double_barrier_value(beta: float, gamma: float, p: ModelParams) -> ClosedFormValue:
+    """Build the piecewise value function for a fixed barrier pair.
 
-    C1 = (gamma^(zeta2-1) - kappa beta^(zeta2-1))
-         / (zeta1 (beta^(zeta1-1) gamma^(zeta2-1) - gamma^(zeta1-1) beta^(zeta2-1))),
+    The band weights follow from dV/dx1 = kappa on the injection ray and
+    dV/dx1 = 1 on the payout ray; with t = beta/gamma >= 1, the only base
+    ever raised to a power,
 
-    evaluated with the common factor gamma^(zeta2-1) cancelled so only the
-    ratio beta/gamma >= 1 is ever raised to a power; C2 then follows from the
-    unit-slope condition on the payout ray.
+        A = gamma (1 - kappa t^(zeta2-1)) / (zeta1 t^(zeta1-1) (1 - t^(zeta2-zeta1))),
+        B = (kappa gamma - zeta1 A) / zeta2.
     """
-    validate(p)
-    kappa = require_kappa(p)
-    _check_band(beta, gamma, p)
     e = exponents(p)
+    kappa = float(require_kappa(p))
+    _check_band(beta, gamma, p)
     z1, z2 = e.zeta1, e.zeta2
     t = beta / gamma
-    c1 = (1.0 - kappa * _rpow(t, z2 - 1.0)) / (
-        z1 * _rpow(beta, z1 - 1.0) * (1.0 - _rpow(t, z2 - z1))
+    a = gamma * (1.0 - kappa * _rpow(t, z2 - 1.0)) / (
+        z1 * _rpow(t, z1 - 1.0) * (1.0 - _rpow(t, z2 - z1))
     )
-    c2 = (kappa * _rpow(gamma, 1.0 - z2) - c1 * z1 * _rpow(gamma, z1 - z2)) / z2
-    return c1, c2
+    b = (kappa * gamma - z1 * a) / z2
+    return ClosedFormValue(
+        beta=beta, gamma=gamma, alpha0=p.alpha0, kappa=kappa, exponents=e, A=a, B=b
+    )
 
 
-def double_barrier_value(beta: float, gamma: float, p: ModelParams) -> DoubleBarrierValue:
-    """Build the piecewise value function for a fixed barrier pair."""
-    c1, c2 = coefficients(beta, gamma, p)
-    return DoubleBarrierValue(
-        beta=beta,
-        gamma=gamma,
-        kappa=float(require_kappa(p)),
-        alpha0=p.alpha0,
-        exponents=exponents(p),
-        C1=c1,
-        C2=c2,
-    )
+def coefficients(beta: float, gamma: float, p: ModelParams) -> tuple[float, float]:
+    """Coefficients (C1, C2) of x1^zeta1 x2^(1-zeta1) and x1^zeta2 x2^(1-zeta2) on the band.
+
+    These are the band weights of :func:`double_barrier_value` rescaled by
+    gamma^(-zeta1) and gamma^(-zeta2).
+    """
+    v = double_barrier_value(beta, gamma, p)
+    return v.A * _rpow(gamma, -v.exponents.zeta1), v.B * _rpow(gamma, -v.exponents.zeta2)
 
 
 def value_injections(x1: float, x2: float, beta: float, gamma: float, p: ModelParams) -> float:
@@ -190,7 +132,8 @@ def optimal_barrier_beta2(p: ModelParams) -> float:
     Bisection on :func:`psi` with initial bracket
     [alpha0 * (1 + 1e-12), 2 * alpha0]; the upper end is doubled until the
     sign changes (at most ``MAX_DOUBLINGS`` times) and the root is located to
-    an absolute tolerance of 1e-12 * alpha0.
+    an absolute tolerance of 1e-12 * alpha0, or to adjacent floats where
+    their spacing is wider.
     """
     validate(p)
     require_kappa(p)
@@ -213,6 +156,8 @@ def optimal_barrier_beta2(p: ModelParams) -> float:
     tol = 1e-12 * p.alpha0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: the tolerance is below their spacing
+            break
         if psi(mid, gamma, p) > 0.0:
             lo = mid
         else:

@@ -222,10 +222,13 @@ def _validate_run(cfg: SimConfig, policy: Policy, p: ModelParams) -> int:
         raise ConfigError(f"n_paths = {cfg.n_paths!r} must be at least 1")
     if cfg.antithetic and cfg.n_paths % 2 != 0:
         raise ConfigError("antithetic pairing needs an even n_paths")
-    if not (isinstance(cfg.seed, int) and 0 <= cfg.seed < 2**128):
+    seed_is_int = isinstance(cfg.seed, int) and not isinstance(cfg.seed, bool)
+    if not (seed_is_int and 0 <= cfg.seed < 2**128):
         raise ConfigError(f"seed = {cfg.seed!r} must be an integer in [0, 2**128)")
     if cfg.n_workers < 1:
         raise ConfigError(f"n_workers = {cfg.n_workers!r} must be at least 1")
+    if not (math.isfinite(cfg.x1_0) and math.isfinite(cfg.x2_0)):
+        raise ConfigError(f"start point ({cfg.x1_0!r}, {cfg.x2_0!r}) must be finite")
     if not cfg.x2_0 > 0.0:
         raise ConfigError(f"x2_0 = {cfg.x2_0!r} must be positive")
     if cfg.x1_0 / cfg.x2_0 < p.alpha0:
@@ -253,6 +256,10 @@ def _validate_run(cfg: SimConfig, policy: Policy, p: ModelParams) -> int:
     n_steps = int(round(cfg.horizon_T / cfg.dt))
     if n_steps < 1:
         raise ConfigError("horizon_T must cover at least one step of size dt")
+    if abs(n_steps * cfg.dt - cfg.horizon_T) > 1e-9 * cfg.horizon_T:
+        raise ConfigError(
+            f"horizon_T = {cfg.horizon_T!r} is not a whole number of steps dt = {cfg.dt!r}"
+        )
     return n_steps
 
 

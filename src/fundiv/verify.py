@@ -167,7 +167,7 @@ def generator_apply(
     if mode == "analytic":
         if not hasattr(fn, "partials"):
             raise TypeError("analytic mode needs an object with exact partials")
-        d1, d2, d11, d22, d12 = fn.partials(x1, x2)
+        parts = fn.partials(x1, x2)
     elif mode in _FD_MODES:
         if seams is None:
             seams = tuple(getattr(fn, "seam_ratios", ()))
@@ -179,34 +179,32 @@ def generator_apply(
                     f"stencil around x1/x2 = {x1 / x2!r} spans [{lo!r}, {hi!r}] "
                     f"and straddles the kink at {seam!r}"
                 )
-        d1, d2, d11, d22, d12 = _fd_partials(fn, x1, x2, h_rel, h_min)
+        parts = _fd_partials(fn, x1, x2, h_rel, h_min)
     else:
         raise ValueError(f"unknown mode {mode!r}; use 'analytic' or 'finite-difference'")
-    return (
-        p.mu_A * x1 * d1
-        + p.mu_L * x2 * d2
-        + 0.5 * p.sigma_A * p.sigma_A * x1 * x1 * d11
-        + 0.5 * p.sigma_L * p.sigma_L * x2 * x2 * d22
-        + p.rho * p.sigma_A * p.sigma_L * x1 * x2 * d12
-    )
+    return sum(_generator_terms(parts, x1, x2, p))
 
 
-def _gen_residual(
-    value: float, partials: tuple[float, float, float, float, float], x1: float, x2: float, p: ModelParams
-) -> tuple[float, float]:
-    """(A - delta)f and the magnitude scale of its terms."""
+def _generator_terms(
+    partials: tuple[float, float, float, float, float], x1: float, x2: float, p: ModelParams
+) -> tuple[float, float, float, float, float]:
+    """The five terms of A f at (x1, x2), from the partials of f."""
     d1, d2, d11, d22, d12 = partials
-    terms = (
+    return (
         p.mu_A * x1 * d1,
         p.mu_L * x2 * d2,
         0.5 * p.sigma_A * p.sigma_A * x1 * x1 * d11,
         0.5 * p.sigma_L * p.sigma_L * x2 * x2 * d22,
         p.rho * p.sigma_A * p.sigma_L * x1 * x2 * d12,
-        -p.delta * value,
     )
-    resid = math.fsum(terms)
-    scale = sum(abs(t) for t in terms)
-    return resid, max(scale, 1e-300)
+
+
+def _gen_residual(
+    value: float, partials: tuple[float, float, float, float, float], x1: float, x2: float, p: ModelParams
+) -> float:
+    """(A - delta)f relative to the sum of the magnitudes of its terms."""
+    terms = (*_generator_terms(partials, x1, x2, p), -p.delta * value)
+    return math.fsum(terms) / max(sum(abs(t) for t in terms), 1e-300)
 
 
 def _clear_of_seams(r: float, seams: tuple[float, ...], lo_limit: float, h_rel: float, h_min: float) -> float:
@@ -227,18 +225,14 @@ def _clear_of_seams(r: float, seams: tuple[float, ...], lo_limit: float, h_rel: 
     raise SeamError(f"could not move evaluation point clear of kinks near r = {r!r}")
 
 
-def _one_sided_slope_below(ev, r: float, h: float) -> tuple[float, float]:
-    """Second-order one-sided d/dx1 and d2/dx1^2 at (r, 1) from below."""
+def _one_sided(ev, r: float, h: float) -> tuple[float, float]:
+    """Second-order one-sided d/dx1 and d2/dx1^2 at (r, 1): from below for h > 0, above for h < 0."""
     f0 = ev(r, 1.0)
     f1 = ev(r - h, 1.0)
     f2 = ev(r - 2.0 * h, 1.0)
     d1 = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
     d11 = (f0 - 2.0 * f1 + f2) / (h * h)
     return d1, d11
-
-
-def _grid(alpha0: float, hi: float, n_points: int) -> np.ndarray:
-    return np.geomspace(alpha0, hi, n_points)
 
 
 def _partials_at(fn, r: float, mode: str, seams: tuple[float, ...], alpha0: float):
@@ -269,26 +263,88 @@ def _normalize_mode(mode: str) -> str:
     raise ValueError(f"unknown mode {mode!r}; use 'analytic' or 'finite-difference'")
 
 
-class _Worst:
-    """Track the worst violation of one condition and where it happened."""
+def _grid_pass(fn, p: ModelParams, level: float, n_points: int, mode: str):
+    """Evaluate ``fn`` once per ratio of the lemma grid [alpha0, 3 level].
 
-    def __init__(self) -> None:
-        self.value = 0.0
-        self.location = math.nan
+    Returns arrays of the grid ratios r, the values H(r, 1), the ratios
+    r_eff where the partials were taken (r, or off a kink in fd mode), the
+    partials at r_eff (one row each) and (A - delta)H / scale at r_eff.
+    """
+    seams = fn.seam_ratios
+    rows = []
+    for r in np.geomspace(p.alpha0, 3.0 * level, n_points):
+        r = float(r)
+        value = fn.evaluate(r, 1.0)
+        r_eff, parts = _partials_at(fn, r, mode, seams, p.alpha0)
+        value_eff = fn.evaluate(r_eff, 1.0) if r_eff != r else value
+        gen = _gen_residual(value_eff, parts, r_eff, 1.0, p)
+        rows.append((r, value, r_eff, gen, *parts))
+    cols = np.array(rows, dtype=float).reshape(-1, 9)
+    return cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 4:], cols[:, 3]
 
-    def update(self, violation: float, location: float) -> None:
-        if violation > self.value or math.isnan(self.location):
-            self.value = violation
-            self.location = location
 
-    def result(self, condition_id: str, tolerance: float) -> ConditionResult:
-        return ConditionResult(
-            condition_id=condition_id,
-            worst_violation=self.value,
-            location=self.location,
-            tolerance=tolerance,
-            passed=bool(self.value <= tolerance),
-        )
+def _pasting(fn, level: float, mode: str, mid_curvature=None) -> list[float]:
+    """Pasting violations at the payout barrier, band branch against the linear one.
+
+    Analytic mode compares both slopes, finite-difference mode the x1-slope
+    from below.  Given the mid-band second partials, the one-sided second
+    partials at the barrier (zero at the optimum) are compared too, each
+    normalised by its mid-band counterpart.
+    """
+    if mode == "analytic":
+        below = fn.partials(level, 1.0)
+        above_d2 = fn.value_at_barrier(1.0) - level
+        out = [abs(below[0] - 1.0), abs(below[1] - above_d2) / max(1.0, abs(above_d2))]
+        curvatures = below[2:]
+    else:
+        # One-sided slope from below carries only the fd truncation term.
+        h1, _ = _steps(level, 1.0, FD_REL_STEP, FD_MIN_STEP)
+        d1b, d11b = _one_sided(fn.evaluate, level, h1)
+        out = [abs(d1b - 1.0)]
+        curvatures = (d11b,)
+    if mid_curvature is not None:
+        out += [abs(c) / max(abs(m), 1e-300) for c, m in zip(curvatures, mid_curvature)]
+    return out
+
+
+def _negativity(value: np.ndarray) -> np.ndarray:
+    return np.fmax(0.0, -value) / np.fmax(1.0, np.abs(value))
+
+
+def _worst(condition_id: str, violation, location, tolerance: float) -> ConditionResult:
+    """Largest violation of one condition and the first ratio where it occurs.
+
+    No point checked counts as a pass at 0; a NaN counts only at the first
+    point, where it fails the condition.
+    """
+    v = np.asarray(violation, dtype=float)
+    if v.size == 0:
+        worst, at = 0.0, math.nan
+    else:
+        i = 0 if math.isnan(v[0]) else int(np.nanargmax(v))
+        worst, at = float(v[i]), float(location[i])
+    return ConditionResult(
+        condition_id=condition_id,
+        worst_violation=worst,
+        location=at,
+        tolerance=tolerance,
+        passed=bool(worst <= tolerance),
+    )
+
+
+def _report(
+    problem: str, level: float, mode: str, p: ModelParams, n_points: int, table
+) -> VerificationReport:
+    """Reduce a table of (condition id, violations, locations, tolerance) to a report."""
+    conditions = tuple(_worst(*row) for row in table)
+    return VerificationReport(
+        problem=problem,
+        barrier=level,
+        mode=mode,
+        grid_spec=GridSpec(ratio_lo=p.alpha0, ratio_hi=3.0 * level, n_points=n_points),
+        condition_results=conditions,
+        passed=all(c.passed for c in conditions),
+    )
 
 
 def check_solvency_lemma(
@@ -315,64 +371,21 @@ def check_solvency_lemma(
     alpha1 = require_alpha1(p)
     level = constrained_barrier_beta1(p) if barrier is None else float(barrier)
     cf = closed_form_value(level, p)
-    seams = cf.seam_ratios
-    tol_eq = _tol_equality(mode)
-    tol_ineq = _tol_inequality(mode)
-
-    ratios = _grid(p.alpha0, 3.0 * level, n_points)
-    nonneg = _Worst()
-    bounded = _Worst()
-    slope_floor = _Worst()
-    gen_band = _Worst()
-    gen_above = _Worst()
-    for r in ratios:
-        r = float(r)
-        value = cf.evaluate(r, 1.0)
-        r_eff, parts = _partials_at(cf, r, mode, seams, p.alpha0)
-        value_eff = cf.evaluate(r_eff, 1.0) if r_eff != r else value
-        d1 = parts[0]
-        nonneg.update(max(0.0, -value) / max(1.0, abs(value)), r)
-        if not all(map(math.isfinite, parts[:2])):
-            bounded.update(math.inf, r_eff)
-        else:
-            bounded.update(0.0, r_eff)
-        if r_eff >= alpha1:
-            slope_floor.update(max(0.0, 1.0 - d1), r_eff)
-        resid, scale = _gen_residual(value_eff, parts, r_eff, 1.0, p)
-        if p.alpha0 < r_eff < level:
-            gen_band.update(abs(resid) / scale, r_eff)
-        if r_eff > alpha1:
-            gen_above.update(max(0.0, resid / scale), r_eff)
-
-    # Pasting at the barrier: compare the band branch against the linear branch.
-    pasting = _Worst()
-    above_d2 = cf.value_at_barrier(1.0) - level
-    if mode == "analytic":
-        below = cf.partials(level, 1.0)
-        pasting.update(abs(below[0] - 1.0), level)
-        pasting.update(abs(below[1] - above_d2) / max(1.0, abs(above_d2)), level)
-    else:
-        # One-sided slope from below carries only the fd truncation term.
-        h1, _ = _steps(level, 1.0, FD_REL_STEP, FD_MIN_STEP)
-        d1b, _ = _one_sided_slope_below(cf.evaluate, level, h1)
-        pasting.update(abs(d1b - 1.0), level)
-
-    conditions = (
-        nonneg.result("nonnegative", TOL_INEQUALITY),
-        pasting.result("c1-pasting", tol_eq),
-        bounded.result("bounded-partials", TOL_INEQUALITY),
-        slope_floor.result("slope-at-least-one", tol_ineq),
-        gen_band.result("generator-zero-band", tol_eq),
-        gen_above.result("generator-nonpositive-above", tol_ineq),
-    )
-    return VerificationReport(
-        problem="solvency",
-        barrier=level,
-        mode=mode,
-        grid_spec=GridSpec(ratio_lo=p.alpha0, ratio_hi=3.0 * level, n_points=n_points),
-        condition_results=conditions,
-        passed=all(c.passed for c in conditions),
-    )
+    tol_eq, tol_ineq = _tol_equality(mode), _tol_inequality(mode)
+    r, value, r_eff, parts, gen = _grid_pass(cf, p, level, n_points, mode)
+    pasting = _pasting(cf, level, mode)
+    pay = r_eff >= alpha1
+    band = (p.alpha0 < r_eff) & (r_eff < level)
+    above = r_eff > alpha1
+    finite = np.isfinite(parts[:, :2]).all(axis=1)
+    return _report("solvency", level, mode, p, n_points, [
+        ("nonnegative", _negativity(value), r, TOL_INEQUALITY),
+        ("c1-pasting", pasting, [level] * len(pasting), tol_eq),
+        ("bounded-partials", np.where(finite, 0.0, math.inf), r_eff, TOL_INEQUALITY),
+        ("slope-at-least-one", np.fmax(0.0, 1.0 - parts[pay, 0]), r_eff[pay], tol_ineq),
+        ("generator-zero-band", np.abs(gen[band]), r_eff[band], tol_eq),
+        ("generator-nonpositive-above", np.fmax(0.0, gen[above]), r_eff[above], tol_ineq),
+    ])
 
 
 def check_injection_lemma(
@@ -399,73 +412,25 @@ def check_injection_lemma(
     kappa = require_kappa(p)
     level = optimal_barrier_beta2(p) if barrier is None else float(barrier)
     dv = double_barrier_value(level, p.alpha0, p)
-    seams = dv.seam_ratios
-    tol_eq = _tol_equality(mode)
-    tol_ineq = _tol_inequality(mode)
-
-    ratios = _grid(p.alpha0, 3.0 * level, n_points)
-    nonneg = _Worst()
-    gen_sign = _Worst()
-    corridor = _Worst()
-    bounded2 = _Worst()
-    for r in ratios:
-        r = float(r)
-        value = dv.evaluate(r, 1.0)
-        r_eff, parts = _partials_at(dv, r, mode, seams, p.alpha0)
-        value_eff = dv.evaluate(r_eff, 1.0) if r_eff != r else value
-        d1, d2 = parts[0], parts[1]
-        nonneg.update(max(0.0, -value) / max(1.0, abs(value)), r)
-        resid, scale = _gen_residual(value_eff, parts, r_eff, 1.0, p)
-        gen_sign.update(max(0.0, resid / scale), r_eff)
-        corridor.update(max(0.0, 1.0 - d1, d1 - kappa), r_eff)
-        bounded2.update(0.0 if math.isfinite(d2) else math.inf, r_eff)
-
-    # Pasting: C1 smoothness at the payout barrier plus the one-sided second
-    # partials, which must all vanish there at the optimum; the x2 and mixed
-    # curvatures are tied to the x1 curvature by homogeneity, so each is
-    # normalised by the matching mid-band curvature magnitude.
-    mid = 0.5 * (p.alpha0 + level)
-    mid_parts = dv.partials(mid, 1.0)
-    above = (1.0, dv.evaluate(level, 1.0) - level, 0.0, 0.0, 0.0)
-    pasting = _Worst()
+    tol_eq, tol_ineq = _tol_equality(mode), _tol_inequality(mode)
+    r, value, r_eff, parts, gen = _grid_pass(dv, p, level, n_points, mode)
+    # The x2 and mixed curvatures are tied to the x1 curvature by homogeneity,
+    # so each is normalised by the matching mid-band curvature magnitude.
+    mid_curvature = dv.partials(0.5 * (p.alpha0 + level), 1.0)[2:]
     if mode == "analytic":
-        below = dv.partials(level, 1.0)
-        for i, (b, a) in enumerate(zip(below, above)):
-            if i == 0:
-                base = 1.0
-            elif i == 1:
-                base = max(1.0, abs(a))
-            else:
-                base = max(abs(mid_parts[i]), 1e-300)
-            pasting.update(abs(b - a) / base, level)
-        pasting.update(abs(dv.partials(p.alpha0, 1.0)[0] - kappa) / kappa, p.alpha0)
+        d1_floor = dv.partials(p.alpha0, 1.0)[0]
     else:
-        h1, _ = _steps(level, 1.0, FD_REL_STEP, FD_MIN_STEP)
-        d1b, d11b = _one_sided_slope_below(dv.evaluate, level, h1)
-        pasting.update(abs(d1b - 1.0), level)
-        pasting.update(abs(d11b) / max(abs(mid_parts[2]), 1e-300), level)
         hg, _ = _steps(p.alpha0, 1.0, FD_REL_STEP, FD_MIN_STEP)
-        f0 = dv.evaluate(p.alpha0, 1.0)
-        f1 = dv.evaluate(p.alpha0 + hg, 1.0)
-        f2 = dv.evaluate(p.alpha0 + 2.0 * hg, 1.0)
-        d1g = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * hg)
-        pasting.update(abs(d1g - kappa) / kappa, p.alpha0)
-
-    conditions = (
-        pasting.result("c2-pasting", tol_eq),
-        nonneg.result("nonnegative", TOL_INEQUALITY),
-        gen_sign.result("generator-sign", tol_ineq),
-        corridor.result("slope-corridor", tol_ineq),
-        bounded2.result("bounded-dx2", TOL_INEQUALITY),
-    )
-    return VerificationReport(
-        problem="injection",
-        barrier=level,
-        mode=mode,
-        grid_spec=GridSpec(ratio_lo=p.alpha0, ratio_hi=3.0 * level, n_points=n_points),
-        condition_results=conditions,
-        passed=all(c.passed for c in conditions),
-    )
+        d1_floor = _one_sided(dv.evaluate, p.alpha0, -hg)[0]
+    pasting = _pasting(dv, level, mode, mid_curvature) + [abs(d1_floor - kappa) / kappa]
+    d1 = parts[:, 0]
+    return _report("injection", level, mode, p, n_points, [
+        ("c2-pasting", pasting, [level] * (len(pasting) - 1) + [p.alpha0], tol_eq),
+        ("nonnegative", _negativity(value), r, TOL_INEQUALITY),
+        ("generator-sign", np.fmax(0.0, gen), r_eff, tol_ineq),
+        ("slope-corridor", np.fmax(np.fmax(0.0, 1.0 - d1), d1 - kappa), r_eff, tol_ineq),
+        ("bounded-dx2", np.where(np.isfinite(parts[:, 1]), 0.0, math.inf), r_eff, TOL_INEQUALITY),
+    ])
 
 
 def check_smooth_fit(p: ModelParams, problem: str = "solvency") -> float | None:

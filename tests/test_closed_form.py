@@ -1,6 +1,7 @@
 """Exponents, barrier value function, and optimal barrier of the payout-only
 problem, checked against independent oracles and structural identities."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,9 +13,10 @@ from fundiv import (
     DomainError,
     closed_form_value,
     constrained_barrier_beta1,
+    double_barrier_value,
     exponents,
     optimal_barrier_beta0,
-    partials_unconstrained,
+    optimal_barrier_beta2,
     value_constrained,
     value_unconstrained,
 )
@@ -121,11 +123,23 @@ def test_homogeneity_degree_one(scale, ratio):
     assert v2 == pytest.approx(scale * v1, rel=1e-12, abs=1e-12)
 
 
+def value_case(name):
+    """The ruin-stopped value at beta0*, or the injection value at gamma = alpha0 or 1.3."""
+    if name == "ruin-stopped":
+        return closed_form_value(P1_BETA0, make_params())
+    pk = make_params(kappa=1.05)
+    if name == "injection":
+        return double_barrier_value(optimal_barrier_beta2(pk), pk.alpha0, pk)
+    return double_barrier_value(2.5, 1.3, pk)
+
+
+VALUE_CASES = ("ruin-stopped", "injection", "injection-interior-gamma")
+
+
 def test_partials_satisfy_euler_identity():
-    # Degree-1 homogeneity forces x1*V_x1 + x2*V_x2 = V.
-    p = make_params()
-    cf = closed_form_value(P1_BETA0, p)
-    for r in (1.01, 1.5, 2.7, 3.3, 4.0, 9.0):
+    # Degree-1 homogeneity forces x1*V_x1 + x2*V_x2 = V.  The ratios cover
+    # every branch: below gamma (interior gamma only), the band, above beta.
+    for cf, r in itertools.product(map(value_case, VALUE_CASES), (1.01, 1.5, 2.7, 3.3, 4.0, 9.0)):
         x1, x2 = r * 1.7, 1.7
         d1, d2, d11, d22, d12 = cf.partials(x1, x2)
         v = cf.evaluate(x1, x2)
@@ -135,16 +149,18 @@ def test_partials_satisfy_euler_identity():
 
 
 def test_partials_match_finite_differences():
-    p = make_params()
-    x1, x2 = 2.0, 1.0
-    d1, d2 = partials_unconstrained(x1, x2, P1_BETA0, p)[:2]
     h = 1e-6
-    fd1 = (value_unconstrained(x1 + h, x2, P1_BETA0, p)
-           - value_unconstrained(x1 - h, x2, P1_BETA0, p)) / (2 * h)
-    fd2 = (value_unconstrained(x1, x2 + h, P1_BETA0, p)
-           - value_unconstrained(x1, x2 - h, P1_BETA0, p)) / (2 * h)
-    assert d1 == pytest.approx(fd1, rel=1e-8)
-    assert d2 == pytest.approx(fd2, rel=1e-8)
+    for cf, x1 in itertools.product(map(value_case, VALUE_CASES), (1.1, 2.0, 3.0, 5.0)):
+        x2 = 1.0
+        d1, d2 = cf.partials(x1, x2)[:2]
+        fd1 = (cf.evaluate(x1 + h, x2) - cf.evaluate(x1 - h, x2)) / (2 * h)
+        fd2 = (cf.evaluate(x1, x2 + h) - cf.evaluate(x1, x2 - h)) / (2 * h)
+        assert d1 == pytest.approx(fd1, rel=1e-8)
+        assert d2 == pytest.approx(fd2, rel=1e-8)
+
+
+def test_both_problems_share_one_value_class():
+    assert type(value_case("ruin-stopped")) is type(value_case("injection"))
 
 
 def test_value_increasing_in_ratio():

@@ -2,6 +2,7 @@
 conditions, the Psi root, cost recovery, and the break-even cost."""
 
 import math
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,20 @@ from helpers import P1, make_params, random_params, solve_band_coefficients
 P1_BETA2 = 1.8110002691689329
 P1_KAPPA_STAR = 1.3328096070053026
 KAPPA_STAR_SIGMA_A_025 = 1.4636444531827926
+
+# A draw over the random_params ranges at kappa = 1e3 where beta2*/alpha0 is
+# ~3.4e4, so the float spacing at the root exceeds the bisection tolerance
+# 1e-12 alpha0.
+WIDE_SPACING = dict(
+    mu_A=0.024327338201298447,
+    mu_L=0.0041935311076611685,
+    sigma_A=0.4210642201960036,
+    sigma_L=0.47161364019787533,
+    rho=-0.5064380045951415,
+    delta=0.028855806107720764,
+    alpha0=1.668597355802255,
+    kappa=1e3,
+)
 
 
 def kparams(**overrides):
@@ -155,6 +170,23 @@ def test_kappa_round_trip():
         p = random_params(rng, with_kappa=True)
         b2 = optimal_barrier_beta2(p)
         assert kappa_from_barrier(b2, p.alpha0, p) == pytest.approx(p.kappa, rel=1e-9)
+
+
+def test_beta2_returns_where_float_spacing_exceeds_tolerance():
+    p = make_params(base=WIDE_SPACING)
+
+    def hang(*_):
+        raise TimeoutError("optimal_barrier_beta2 did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        b2 = optimal_barrier_beta2(p)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert math.ulp(b2) > 1e-12 * p.alpha0
+    assert kappa_from_barrier(b2, p.alpha0, p) == pytest.approx(p.kappa, rel=1e-9)
 
 
 def test_beta2_increasing_in_kappa():

@@ -43,6 +43,10 @@ def test_config_rejections():
         (replace(BASE_CFG, x2_0=0.0), pol, p),
         (replace(BASE_CFG, x1_0=0.5), pol, p),  # starts below the ruin ray
         (replace(BASE_CFG, dt=4.0), pol, p),  # horizon shorter than one step
+        (replace(BASE_CFG, dt=0.3), pol, p),  # 2.0 is not a whole number of steps
+        (replace(BASE_CFG, x1_0=math.inf), pol, p),
+        (replace(BASE_CFG, x1_0=math.nan), pol, p),
+        (replace(BASE_CFG, seed=True), pol, p),
         (BASE_CFG, UnconstrainedBarrier(beta=0.5), p),
         (BASE_CFG, SolvencyConstrained(beta=2.0, alpha1=1.0), p),
         (BASE_CFG, SolvencyConstrained(beta=1.1, alpha1=1.2), p),
