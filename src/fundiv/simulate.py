@@ -12,16 +12,25 @@ dividends are the overshoot above the policy barrier, injections lift the
 ratio back to the injection ray, ruin is the first grid time with
 X1/X2 <= alpha0, and every lump is discounted by exp(-delta t_k).
 
-Randomness is counter-based: path i draws from a Philox stream jumped i
-blocks ahead of the master seed, so results are a pure function of
+Randomness is counter-based: path i draws from its own Philox stream, the
+master key with counter block i, so results are a pure function of
 (seed, path index) and are bit-identical no matter how paths are split
-across workers.  With antithetic pairing path 2j+1 consumes the negated
-draws of stream j.
+across workers or tiles.  A path alive at step k uses the k-th pair of
+normals of its own stream; a ruined path stops drawing, which moves no other
+path's draws, so two policies run on one seed still see common random
+numbers path by path while both arms are alive.  With antithetic pairing
+path 2j+1 consumes the negated draws of stream j.
+
+Paths run in tiles of at most ``_CHUNK_BUDGET // 128`` paths, so one tile's
+draw buffer never exceeds ``_CHUNK_BUDGET`` scalars.  Under a ruin-stopped
+policy each tile drops its ruined paths at every chunk boundary and stops
+once none is left.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Union
@@ -214,16 +223,18 @@ def summarize(
 
 def _validate_run(cfg: SimConfig, policy: Policy, p: ModelParams) -> int:
     validate(p)
-    if not cfg.dt > 0.0:
-        raise ConfigError(f"dt = {cfg.dt!r} must be positive")
-    if not cfg.horizon_T > 0.0:
-        raise ConfigError(f"horizon_T = {cfg.horizon_T!r} must be positive")
+    if not 0.0 < cfg.dt < math.inf:
+        raise ConfigError(f"dt = {cfg.dt!r} must be positive and finite")
+    if not 0.0 < cfg.horizon_T < math.inf:
+        raise ConfigError(f"horizon_T = {cfg.horizon_T!r} must be positive and finite")
     if cfg.n_paths < 1:
         raise ConfigError(f"n_paths = {cfg.n_paths!r} must be at least 1")
     if cfg.antithetic and cfg.n_paths % 2 != 0:
         raise ConfigError("antithetic pairing needs an even n_paths")
-    seed_is_int = isinstance(cfg.seed, int) and not isinstance(cfg.seed, bool)
-    if not (seed_is_int and 0 <= cfg.seed < 2**128):
+    seed_is_int = isinstance(cfg.seed, numbers.Integral) and not isinstance(
+        cfg.seed, (bool, np.bool_)
+    )
+    if not (seed_is_int and 0 <= int(cfg.seed) < 2**128):
         raise ConfigError(f"seed = {cfg.seed!r} must be an integer in [0, 2**128)")
     if cfg.n_workers < 1:
         raise ConfigError(f"n_workers = {cfg.n_workers!r} must be at least 1")
@@ -253,7 +264,10 @@ def _validate_run(cfg: SimConfig, policy: Policy, p: ModelParams) -> int:
             raise ConfigError(f"policy beta = {policy.beta!r} must exceed gamma")
     else:
         raise ConfigError(f"unknown policy {policy!r}")
-    n_steps = int(round(cfg.horizon_T / cfg.dt))
+    steps = cfg.horizon_T / cfg.dt
+    if not steps < math.inf:
+        raise ConfigError(f"horizon_T / dt = {steps!r} is not a finite number of steps")
+    n_steps = int(round(steps))
     if n_steps < 1:
         raise ConfigError("horizon_T must cover at least one step of size dt")
     if abs(n_steps * cfg.dt - cfg.horizon_T) > 1e-9 * cfg.horizon_T:
@@ -263,20 +277,54 @@ def _validate_run(cfg: SimConfig, policy: Policy, p: ModelParams) -> int:
     return n_steps
 
 
-def _path_streams(seed: int, i0: int, i1: int, antithetic: bool):
-    """One Generator per path; antithetic odd paths reuse (and negate) stream i//2."""
-    base = np.random.Philox(key=seed)
-    rngs = []
-    for i in range(i0, i1):
-        stream = i // 2 if antithetic else i
-        rngs.append(np.random.Generator(base.jumped(stream)))
-    return rngs
+def _path_streams(seed: int, paths: np.ndarray, antithetic: bool) -> list:
+    """One Generator per path index; antithetic odd paths reuse (and negate) stream i//2.
+
+    Stream s is the master key with counter (0, 0, s, 0), the state that
+    ``Philox(key=seed).jumped(s)`` reaches, built without copying and jumping.
+    """
+    key = np.array([seed & (2**64 - 1), seed >> 64], dtype=np.uint64)
+
+    # ``Philox(key=...)`` would also build an unused SeedSequence from OS
+    # entropy for every stream; this hands over the key instead.  Defined
+    # here so that importing fundiv does not import numpy.random.
+    class MasterKey(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return key.copy()
+
+    master = MasterKey()
+    streams = paths // 2 if antithetic else paths
+    return [
+        np.random.Generator(np.random.Philox(master, counter=[0, 0, s, 0]))
+        for s in streams.tolist()
+    ]
 
 
 def _run_block(
     p: ModelParams, policy: Policy, cfg: SimConfig, i0: int, i1: int, n_steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate paths [i0, i1); pure function of (cfg.seed, path index)."""
+    """Simulate paths [i0, i1) in consecutive tiles.
+
+    A tile holds at most ``_CHUNK_BUDGET // (2 * 64)`` paths, so even at the
+    64-step chunk floor its draw buffer stays within ``_CHUNK_BUDGET`` scalars.
+    """
+    tile = max(1, _CHUNK_BUDGET // (2 * 64))
+    tiles = [
+        _run_tile(p, policy, cfg, j, min(j + tile, i1), n_steps) for j in range(i0, i1, tile)
+    ]
+    return tuple(np.concatenate(col) for col in zip(*tiles))
+
+
+def _run_tile(
+    p: ModelParams, policy: Policy, cfg: SimConfig, i0: int, i1: int, n_steps: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate paths [i0, i1); pure function of (cfg.seed, path index).
+
+    Under a ruin-stopped policy the working state is compacted to the live
+    paths at t = 0 and at every chunk boundary: a ruined path is written back
+    and neither draws nor steps again.  Inside a chunk the step is masked, so
+    per-path outputs do not depend on the chunk or tile size.
+    """
     n = i1 - i0
     dt = cfg.dt
     drift_a = (p.mu_A - 0.5 * p.sigma_A**2) * dt
@@ -294,9 +342,12 @@ def _run_block(
     x2 = np.full(n, float(cfg.x2_0))
     pvd = np.zeros(n)
     pvi = np.zeros(n)
-    ruin_time = np.full(n, float(cfg.horizon_T))
     alive = np.ones(n, dtype=bool)
     scratch = np.empty(n)
+    rows = np.arange(n)  # tile row of each path in the working state
+    ruin_time = np.full(n, float(cfg.horizon_T))  # indexed by tile row
+    pvd_out = np.zeros(n)
+    censored = np.zeros(n, dtype=bool)
 
     def control(t: float, disc: float) -> None:
         if injecting:
@@ -310,7 +361,7 @@ def _run_block(
             ruined_now = x1 <= alpha0 * x2
             ruined_now &= alive
             if ruined_now.any():
-                ruin_time[ruined_now] = t
+                ruin_time[rows[ruined_now]] = t
                 alive[ruined_now] = False
         np.multiply(x2, beta, out=scratch)
         np.subtract(x1, scratch, out=scratch)
@@ -321,32 +372,65 @@ def _run_block(
         np.multiply(scratch, disc, out=scratch)
         np.add(pvd, scratch, out=pvd)
 
-    control(0.0, 1.0)
+    def compact() -> list[int]:
+        """Write back the ruined paths, drop them and return the kept positions."""
+        nonlocal rows, x1, x2, pvd, alive, scratch
+        done = ~alive
+        pvd_out[rows[done]] = pvd[done]  # a ruined path's state no longer changes
+        keep = np.flatnonzero(alive)
+        rows, x1, x2, pvd, alive = rows[keep], x1[keep], x2[keep], pvd[keep], alive[keep]
+        scratch = scratch[: keep.size]
+        return keep.tolist()
 
-    rngs = _path_streams(cfg.seed, i0, i1, cfg.antithetic)
+    control(0.0, 1.0)
+    if not injecting and not alive.all():
+        compact()
+
+    rngs = _path_streams(int(cfg.seed), i0 + rows, cfg.antithetic)
     chunk = max(64, min(4096, _CHUNK_BUDGET // max(2 * n, 1)))
     draws = np.empty((n, chunk, 2))
+    grow_a_buf = np.empty(chunk * n)
+    grow_l_buf = np.empty(chunk * n)
     k = 0
-    while k < n_steps:
+    while k < n_steps and rows.size:
         m = min(chunk, n_steps - k)
-        block = draws[:, :m, :] if m < chunk else draws
+        live = rows.size
+        block = draws[:live, :m]
         for j, rng in enumerate(rngs):
             rng.standard_normal(out=block[j])
-            if cfg.antithetic and (i0 + j) % 2 == 1:
-                np.negative(block[j], out=block[j])
+        if cfg.antithetic:
+            odd = ((i0 + rows) % 2 == 1)[:, None, None]
+            np.negative(block, out=block, where=odd)
         z1 = block[:, :, 0].T
         z2 = block[:, :, 1].T
-        grow_a = np.exp(drift_a + vol_a * z1)
-        grow_l = np.exp(drift_l + vol_l * (p.rho * z1 + mix * z2))
+        # grow_a = exp(drift_a + vol_a z1), grow_l = exp(drift_l + vol_l (rho z1 + mix z2)),
+        # in place but in the formula's operation order, so every factor keeps its bits.
+        grow_a = grow_a_buf[: m * live].reshape(m, live)
+        grow_l = grow_l_buf[: m * live].reshape(m, live)
+        np.multiply(z2, mix, out=grow_a)
+        np.multiply(z1, p.rho, out=grow_l)
+        np.add(grow_l, grow_a, out=grow_l)
+        np.multiply(grow_l, vol_l, out=grow_l)
+        np.add(grow_l, drift_l, out=grow_l)
+        np.exp(grow_l, out=grow_l)
+        np.multiply(z1, vol_a, out=grow_a)
+        np.add(grow_a, drift_a, out=grow_a)
+        np.exp(grow_a, out=grow_a)
         disc = np.exp(-p.delta * dt * np.arange(k + 1, k + m + 1))
+        step_mask = True if injecting else alive
         for j in range(m):
-            np.multiply(x1, grow_a[j], out=x1, where=alive)
-            np.multiply(x2, grow_l[j], out=x2, where=alive)
+            np.multiply(x1, grow_a[j], out=x1, where=step_mask)
+            np.multiply(x2, grow_l[j], out=x2, where=step_mask)
             control((k + j + 1) * dt, disc[j])
         k += m
+        if k < n_steps and not injecting and not alive.all():
+            rngs = [rngs[j] for j in compact()]
 
-    censored = alive if not injecting else np.ones(n, dtype=bool)
-    return pvd, pvi, ruin_time, censored.copy()
+    if injecting:
+        return pvd, pvi, ruin_time, np.ones(n, dtype=bool)
+    pvd_out[rows] = pvd
+    censored[rows] = alive
+    return pvd_out, pvi, ruin_time, censored
 
 
 def simulate_paths(cfg: SimConfig, policy: Policy, p: ModelParams) -> SimResult:
@@ -401,9 +485,10 @@ def paired_compare(
 ) -> PairedComparison:
     """Run both policies on the same Brownian increments and pair the outputs.
 
-    Streams depend only on (seed, path index), and draws are consumed at a
-    fixed two-per-step rate whatever the policy does, so the two arms see
-    identical shocks path by path.
+    Streams depend only on (seed, path index), and a path alive at step k
+    uses the k-th pair of normals of its own stream whatever the policy did
+    before, so the two arms see identical shocks path by path for as long as
+    both are alive.
     """
     result_a = simulate_paths(cfg, policy_a, p)
     result_b = simulate_paths(cfg, policy_b, p)

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fundiv import (
     ConfigError,
@@ -16,7 +18,9 @@ from fundiv import (
     SimConfig,
     SolvencyConstrained,
     UnconstrainedBarrier,
+    optimal_barrier_beta0,
     paired_compare,
+    simulate,
     simulate_paths,
     summarize,
     summary_lines,
@@ -26,6 +30,11 @@ from fundiv import (
 from helpers import P1, make_params
 
 BASE_CFG = SimConfig(x1_0=2.0, x2_0=1.0, dt=0.25, horizon_T=2.0, n_paths=8, seed=99)
+
+
+def assert_same_paths(a, b):
+    for field in ("pv_dividends", "pv_injections", "ruin_time", "censored"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 def test_config_rejections():
@@ -47,6 +56,12 @@ def test_config_rejections():
         (replace(BASE_CFG, x1_0=math.inf), pol, p),
         (replace(BASE_CFG, x1_0=math.nan), pol, p),
         (replace(BASE_CFG, seed=True), pol, p),
+        (replace(BASE_CFG, seed=np.bool_(True)), pol, p),
+        (replace(BASE_CFG, seed=np.float64(99.0)), pol, p),
+        (replace(BASE_CFG, seed=np.int64(-1)), pol, p),
+        (replace(BASE_CFG, dt=math.inf), pol, p),
+        (replace(BASE_CFG, horizon_T=math.inf), pol, p),
+        (replace(BASE_CFG, dt=5e-324), pol, p),  # horizon_T / dt overflows to inf
         (BASE_CFG, UnconstrainedBarrier(beta=0.5), p),
         (BASE_CFG, SolvencyConstrained(beta=2.0, alpha1=1.0), p),
         (BASE_CFG, SolvencyConstrained(beta=1.1, alpha1=1.2), p),
@@ -57,6 +72,52 @@ def test_config_rejections():
     for cfg, policy, params in bad:
         with pytest.raises(ConfigError):
             simulate_paths(cfg, policy, params)
+
+
+def test_numpy_integer_seed_matches_int():
+    p = make_params()
+    pol = UnconstrainedBarrier(beta=1.5)
+    ref = simulate_paths(BASE_CFG, pol, p)
+    for seed in (np.int64(99), np.uint8(99)):
+        assert_same_paths(simulate_paths(replace(BASE_CFG, seed=seed), pol, p), ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    dt=st.one_of(st.floats(), st.floats(1e-6, 10.0)),
+    n_paths=st.integers(-1, 10**9),
+    seed=st.one_of(
+        st.integers(-1, 2**129),
+        st.integers(0, 2**63 - 1).map(np.int64),
+        st.sampled_from([True, np.bool_(False), 5.0, np.float64(5.0), np.uint64(2**63)]),
+    ),
+    antithetic=st.booleans(),
+    n_workers=st.integers(-1, 64),
+    x1_0=st.one_of(st.floats(1.0, 10.0), st.floats()),
+    x2_0=st.one_of(st.just(1.0), st.floats()),
+)
+def test_validate_run_accepts_only_whole_step_horizons(
+    data, dt, n_paths, seed, antithetic, n_workers, x1_0, x2_0
+):
+    # Validation alone: nothing is simulated, so any path count is cheap.
+    # Half the horizons sit within a relative 1e-8 of a whole number of steps.
+    near_whole = st.builds(
+        lambda steps, slack: steps * dt * (1.0 + slack),
+        st.integers(1, 10**6),
+        st.floats(-1e-8, 1e-8),
+    )
+    horizon_T = data.draw(st.one_of(near_whole, st.floats()))
+    cfg = SimConfig(
+        x1_0=x1_0, x2_0=x2_0, dt=dt, horizon_T=horizon_T, n_paths=n_paths, seed=seed,
+        antithetic=antithetic, n_workers=n_workers,
+    )
+    try:
+        n_steps = simulate._validate_run(cfg, UnconstrainedBarrier(beta=1.5), make_params())
+    except ConfigError:
+        return
+    assert isinstance(n_steps, int) and n_steps >= 1
+    assert abs(n_steps * dt - horizon_T) <= 1e-9 * horizon_T
 
 
 def test_double_barrier_needs_kappa():
@@ -93,6 +154,90 @@ def test_one_step_matches_manual_recomputation():
             pvd += max(x1 - beta * x2, 0.0) * np.exp(-p.delta * cfg.dt)
             assert result.censored[i]
         assert result.pv_dividends[i] == pytest.approx(pvd, rel=1e-15)
+
+
+def _plain_state(state):
+    if isinstance(state, dict):
+        return {key: _plain_state(value) for key, value in state.items()}
+    if isinstance(state, np.ndarray):
+        return state.tolist()
+    return state
+
+
+def test_path_streams_match_jumped_streams():
+    # Each stream is built straight at its counter; it must sit exactly where
+    # jumping the master Philox would put it, buffer and all.
+    for seed in (777, 2**100 + 3):
+        base = np.random.Philox(key=seed)
+        for stream in (0, 1, 2**32 + 5, 2**63):
+            (rng,) = simulate._path_streams(seed, np.array([stream], dtype=np.uint64), False)
+            assert _plain_state(rng.bit_generator.state) == _plain_state(base.jumped(stream).state)
+        # Antithetic pairs (2j, 2j + 1) share stream j.
+        pairs = simulate._path_streams(seed, np.arange(4), True)
+        for i, rng in enumerate(pairs):
+            assert _plain_state(rng.bit_generator.state) == _plain_state(base.jumped(i // 2).state)
+
+
+def test_compaction_across_chunks_and_tiles_is_bit_identical(monkeypatch):
+    # A budget of 3 paths x 64 steps gives three-path tiles that compact every
+    # 64 steps; with an odd tile size the antithetic pairs (2, 3) and (8, 9)
+    # straddle two tiles.  The default budget runs all 240 steps in one chunk.
+    p = make_params(kappa=1.05)
+    cfg = SimConfig(x1_0=1.3, x2_0=1.0, dt=1 / 12, horizon_T=20.0, n_paths=12, seed=4242)
+    cases = [
+        (replace(cfg, antithetic=True), UnconstrainedBarrier(beta=optimal_barrier_beta0(p))),
+        (cfg, SolvencyConstrained(beta=1.6, alpha1=1.2)),
+        (cfg, DoubleBarrier(beta=1.8, gamma=1.0)),
+    ]
+    reference = [simulate_paths(c, pol, p) for c, pol in cases]
+    # Ruins land in every chunk, one path survives: compaction really runs.
+    ruin_chunk = np.ceil(reference[0].ruin_time / cfg.dt / 64)
+    assert set(ruin_chunk[~reference[0].censored]) == {1, 2, 3}
+    assert reference[0].censored.sum() == 1
+
+    monkeypatch.setattr(simulate, "_CHUNK_BUDGET", 2 * 64 * 3)
+    for (c, pol), ref in zip(cases, reference):
+        assert_same_paths(simulate_paths(c, pol, p), ref)
+
+
+class _CountingStream:
+    """A Generator stand-in that counts the normals drawn through it."""
+
+    def __init__(self, rng, drawn: list):
+        self._rng = rng
+        self._drawn = drawn
+
+    def standard_normal(self, *, out):
+        self._drawn.append(out.size)
+        return self._rng.standard_normal(out=out)
+
+
+def test_ruined_paths_stop_drawing(monkeypatch):
+    drawn: list = []
+    path_streams = simulate._path_streams
+    monkeypatch.setattr(
+        simulate,
+        "_path_streams",
+        lambda *args: [_CountingStream(rng, drawn) for rng in path_streams(*args)],
+    )
+    p = make_params()
+    on_ray = simulate_paths(replace(BASE_CFG, x1_0=1.0), UnconstrainedBarrier(beta=1.5), p)
+    assert not on_ray.censored.any()
+    assert sum(drawn) == 0
+
+    # Chunks of 64 steps: a path ruined at step s draws through the end of
+    # its chunk, and nothing after it.
+    monkeypatch.setattr(simulate, "_CHUNK_BUDGET", 2 * 64 * 16)
+    cfg = SimConfig(x1_0=1.3, x2_0=1.0, dt=1 / 12, horizon_T=40.0, n_paths=16, seed=11)
+    n_steps = 480
+    drawn.clear()
+    result = simulate_paths(cfg, UnconstrainedBarrier(beta=1.5), p)
+    ruin_step = np.rint(result.ruin_time / cfg.dt)
+    steps_drawn = np.where(
+        result.censored, n_steps, np.minimum(np.ceil(ruin_step / 64) * 64, n_steps)
+    )
+    assert sum(drawn) == 2 * steps_drawn.sum()
+    assert sum(drawn) < 2 * cfg.n_paths * n_steps
 
 
 def test_bitwise_identical_across_worker_counts():
