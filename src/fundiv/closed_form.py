@@ -50,7 +50,6 @@ __all__ = [
     "exponents",
     "closed_form_value",
     "value_unconstrained",
-    "partials_unconstrained",
     "optimal_barrier_beta0",
     "constrained_barrier_beta1",
     "value_constrained",
@@ -174,13 +173,6 @@ def closed_form_value(beta: float, p: ModelParams) -> ClosedFormValue:
 def value_unconstrained(x1: float, x2: float, beta: float, p: ModelParams) -> float:
     """Expected discounted dividends of the barrier-``beta`` strategy at (x1, x2)."""
     return closed_form_value(beta, p).evaluate(x1, x2)
-
-
-def partials_unconstrained(
-    x1: float, x2: float, beta: float, p: ModelParams
-) -> tuple[float, float, float, float, float]:
-    """First and second partials of :func:`value_unconstrained` on its active branch."""
-    return closed_form_value(beta, p).partials(x1, x2)
 
 
 def optimal_barrier_beta0(p: ModelParams) -> float:

@@ -42,7 +42,6 @@ __all__ = [
     "coefficients",
     "double_barrier_value",
     "value_injections",
-    "partials_injections",
     "psi",
     "optimal_barrier_beta2",
     "kappa_from_barrier",
@@ -97,13 +96,6 @@ def coefficients(beta: float, gamma: float, p: ModelParams) -> tuple[float, floa
 def value_injections(x1: float, x2: float, beta: float, gamma: float, p: ModelParams) -> float:
     """Expected discounted dividends net of kappa-weighted injections at (x1, x2)."""
     return double_barrier_value(beta, gamma, p).evaluate(x1, x2)
-
-
-def partials_injections(
-    x1: float, x2: float, beta: float, gamma: float, p: ModelParams
-) -> tuple[float, float, float, float, float]:
-    """First and second partials of :func:`value_injections` on its active branch."""
-    return double_barrier_value(beta, gamma, p).partials(x1, x2)
 
 
 def psi(beta: float, gamma: float, p: ModelParams) -> float:

@@ -22,9 +22,10 @@ numbers path by path while both arms are alive.  With antithetic pairing
 path 2j+1 consumes the negated draws of stream j.
 
 Paths run in tiles of at most ``_CHUNK_BUDGET // 128`` paths, so one tile's
-draw buffer never exceeds ``_CHUNK_BUDGET`` scalars.  Under a ruin-stopped
-policy each tile drops its ruined paths at every chunk boundary and stops
-once none is left.
+draw buffer never exceeds ``_CHUNK_BUDGET`` scalars.  Tiles are the only unit
+of work: a serial run maps them in order, and a run on several workers hands
+them to a process pool one at a time.  Under a ruin-stopped policy each tile
+drops its ruined paths at every chunk boundary and stops once none is left.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import IO, Union
 
 import numpy as np
@@ -221,23 +223,24 @@ def summarize(
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_))
+
+
 def _validate_run(cfg: SimConfig, policy: Policy, p: ModelParams) -> int:
     validate(p)
     if not 0.0 < cfg.dt < math.inf:
         raise ConfigError(f"dt = {cfg.dt!r} must be positive and finite")
     if not 0.0 < cfg.horizon_T < math.inf:
         raise ConfigError(f"horizon_T = {cfg.horizon_T!r} must be positive and finite")
-    if cfg.n_paths < 1:
-        raise ConfigError(f"n_paths = {cfg.n_paths!r} must be at least 1")
+    if not (_is_int(cfg.n_paths) and cfg.n_paths >= 1):
+        raise ConfigError(f"n_paths = {cfg.n_paths!r} must be an integer at least 1")
     if cfg.antithetic and cfg.n_paths % 2 != 0:
         raise ConfigError("antithetic pairing needs an even n_paths")
-    seed_is_int = isinstance(cfg.seed, numbers.Integral) and not isinstance(
-        cfg.seed, (bool, np.bool_)
-    )
-    if not (seed_is_int and 0 <= int(cfg.seed) < 2**128):
+    if not (_is_int(cfg.seed) and 0 <= int(cfg.seed) < 2**128):
         raise ConfigError(f"seed = {cfg.seed!r} must be an integer in [0, 2**128)")
-    if cfg.n_workers < 1:
-        raise ConfigError(f"n_workers = {cfg.n_workers!r} must be at least 1")
+    if not (_is_int(cfg.n_workers) and cfg.n_workers >= 1):
+        raise ConfigError(f"n_workers = {cfg.n_workers!r} must be an integer at least 1")
     if not (math.isfinite(cfg.x1_0) and math.isfinite(cfg.x2_0)):
         raise ConfigError(f"start point ({cfg.x1_0!r}, {cfg.x2_0!r}) must be finite")
     if not cfg.x2_0 > 0.0:
@@ -250,6 +253,8 @@ def _validate_run(cfg: SimConfig, policy: Policy, p: ModelParams) -> int:
         if not policy.beta >= p.alpha0:
             raise ConfigError(f"policy beta = {policy.beta!r} must be >= alpha0")
     elif isinstance(policy, SolvencyConstrained):
+        if policy.alpha1 is None:
+            raise ConfigError("a SolvencyConstrained policy needs its floor alpha1")
         if not policy.alpha1 > p.alpha0:
             raise ConfigError(f"policy alpha1 = {policy.alpha1!r} must exceed alpha0")
         if not policy.beta >= policy.alpha1:
@@ -298,21 +303,6 @@ def _path_streams(seed: int, paths: np.ndarray, antithetic: bool) -> list:
         np.random.Generator(np.random.Philox(master, counter=[0, 0, s, 0]))
         for s in streams.tolist()
     ]
-
-
-def _run_block(
-    p: ModelParams, policy: Policy, cfg: SimConfig, i0: int, i1: int, n_steps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate paths [i0, i1) in consecutive tiles.
-
-    A tile holds at most ``_CHUNK_BUDGET // (2 * 64)`` paths, so even at the
-    64-step chunk floor its draw buffer stays within ``_CHUNK_BUDGET`` scalars.
-    """
-    tile = max(1, _CHUNK_BUDGET // (2 * 64))
-    tiles = [
-        _run_tile(p, policy, cfg, j, min(j + tile, i1), n_steps) for j in range(i0, i1, tile)
-    ]
-    return tuple(np.concatenate(col) for col in zip(*tiles))
 
 
 def _run_tile(
@@ -383,7 +373,7 @@ def _run_tile(
         return keep.tolist()
 
     control(0.0, 1.0)
-    if not injecting and not alive.all():
+    if not alive.all():
         compact()
 
     rngs = _path_streams(int(cfg.seed), i0 + rows, cfg.antithetic)
@@ -423,11 +413,9 @@ def _run_tile(
             np.multiply(x2, grow_l[j], out=x2, where=step_mask)
             control((k + j + 1) * dt, disc[j])
         k += m
-        if k < n_steps and not injecting and not alive.all():
+        if k < n_steps and not alive.all():
             rngs = [rngs[j] for j in compact()]
 
-    if injecting:
-        return pvd, pvi, ruin_time, np.ones(n, dtype=bool)
     pvd_out[rows] = pvd
     censored[rows] = alive
     return pvd_out, pvi, ruin_time, censored
@@ -440,23 +428,22 @@ def simulate_paths(cfg: SimConfig, policy: Policy, p: ModelParams) -> SimResult:
     ``cfg.n_workers``, because every path owns its random stream.
     """
     n_steps = _validate_run(cfg, policy, p)
-    n = cfg.n_paths
-    if cfg.n_workers == 1 or n == 1:
-        blocks = [_run_block(p, policy, cfg, 0, n, n_steps)]
+    n = int(cfg.n_paths)
+    workers = min(int(cfg.n_workers), n)
+    # A tile holds at most _CHUNK_BUDGET // (2 * 64) paths, so even at the
+    # 64-step chunk floor its draw buffer stays within _CHUNK_BUDGET scalars,
+    # and at most an even share of the paths, so a small run still spreads
+    # over the workers.
+    tile = max(1, min(_CHUNK_BUDGET // (2 * 64), -(-n // workers)))
+    starts = range(0, n, tile)
+    ends = [min(i + tile, n) for i in starts]
+    args = (repeat(p), repeat(policy), repeat(cfg), starts, ends, repeat(n_steps))
+    if workers == 1:
+        tiles = list(map(_run_tile, *args))
     else:
-        workers = min(cfg.n_workers, n)
-        bounds = [(n * w) // workers for w in range(workers + 1)]
-        jobs = [
-            (p, policy, cfg, bounds[w], bounds[w + 1], n_steps)
-            for w in range(workers)
-            if bounds[w + 1] > bounds[w]
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_run_block_star, jobs))
-    pvd = np.concatenate([b[0] for b in blocks])
-    pvi = np.concatenate([b[1] for b in blocks])
-    ruin_time = np.concatenate([b[2] for b in blocks])
-    censored = np.concatenate([b[3] for b in blocks])
+            tiles = list(pool.map(_run_tile, *args))
+    pvd, pvi, ruin_time, censored = (np.concatenate(col) for col in zip(*tiles))
     summary = summarize(
         pvd,
         pvi,
@@ -476,10 +463,6 @@ def simulate_paths(cfg: SimConfig, policy: Policy, p: ModelParams) -> SimResult:
     )
 
 
-def _run_block_star(job) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    return _run_block(*job)
-
-
 def paired_compare(
     cfg: SimConfig, policy_a: Policy, policy_b: Policy, p: ModelParams
 ) -> PairedComparison:
@@ -493,14 +476,13 @@ def paired_compare(
     result_a = simulate_paths(cfg, policy_a, p)
     result_b = simulate_paths(cfg, policy_b, p)
     diff = result_a.pv_dividends - result_b.pv_dividends
-    n = diff.size
-    var = float(np.var(diff, ddof=1)) if n > 1 else 0.0
+    mean, _, se, _, _ = _stat_block(diff)
     return PairedComparison(
         result_a=result_a,
         result_b=result_b,
         diff_pv_dividends=diff,
-        mean_diff=float(np.mean(diff)),
-        se_diff=math.sqrt(var / n),
+        mean_diff=mean,
+        se_diff=se,
     )
 
 
@@ -539,26 +521,12 @@ def write_paired_csv(paired: PairedComparison, fh: IO[str]) -> None:
 def summary_lines(summary: SimSummary) -> list[str]:
     """Flat ``key = value`` rendering of a summary, 17 significant digits."""
     out = []
-    for field in (
-        "n_paths",
-        "mean_pv_dividends",
-        "var_pv_dividends",
-        "se_pv_dividends",
-        "cv_pv_dividends",
-        "cv_pv_dividends_defined",
-        "mean_net_value",
-        "var_net_value",
-        "se_net_value",
-        "cv_net_value",
-        "cv_net_value_defined",
-        "ruin_fraction",
-        "mean_ruin_time_censored",
-    ):
-        value = getattr(summary, field)
+    for f in fields(summary):
+        value = getattr(summary, f.name)
         if isinstance(value, bool):
-            out.append(f"{field} = {str(value).lower()}")
+            out.append(f"{f.name} = {str(value).lower()}")
         elif isinstance(value, int):
-            out.append(f"{field} = {value}")
+            out.append(f"{f.name} = {value}")
         else:
-            out.append(f"{field} = {_fmt(value)}")
+            out.append(f"{f.name} = {_fmt(value)}")
     return out

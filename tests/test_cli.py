@@ -304,6 +304,16 @@ def test_verify_missing_alpha1_exits_1(capsys, p1_config):
     assert "alpha1" in err
 
 
+def test_simulate_solvency_missing_alpha1_exits_1(capsys, p1_config):
+    rc, _, err = run_cli(
+        capsys, "simulate", "--config", p1_config,
+        "--policy", "solvency", "--beta", "2.0", "--x1_0", "2.0", "--x2_0", "1.0",
+        "--dt", "0.25", "--horizon_T", "1.0", "--n_paths", "4", "--seed", "4",
+    )
+    assert rc == 1
+    assert "alpha1" in err
+
+
 def test_unwritable_output_exits_4(capsys, p1_config):
     rc, _, err = run_cli(
         capsys, "barriers", "--config", p1_config,

@@ -62,9 +62,14 @@ def test_config_rejections():
         (replace(BASE_CFG, dt=math.inf), pol, p),
         (replace(BASE_CFG, horizon_T=math.inf), pol, p),
         (replace(BASE_CFG, dt=5e-324), pol, p),  # horizon_T / dt overflows to inf
+        (replace(BASE_CFG, n_paths=2.5), pol, p),
+        (replace(BASE_CFG, n_paths=True), pol, p),
+        (replace(BASE_CFG, n_workers=1.5), pol, p),
+        (replace(BASE_CFG, n_workers=True), pol, p),
         (BASE_CFG, UnconstrainedBarrier(beta=0.5), p),
         (BASE_CFG, SolvencyConstrained(beta=2.0, alpha1=1.0), p),
         (BASE_CFG, SolvencyConstrained(beta=1.1, alpha1=1.2), p),
+        (BASE_CFG, SolvencyConstrained(beta=2.0, alpha1=None), p),
         (BASE_CFG, DoubleBarrier(beta=2.0, gamma=0.5), make_params(kappa=1.05)),
         (BASE_CFG, DoubleBarrier(beta=1.3, gamma=1.3), make_params(kappa=1.05)),
         (BASE_CFG, "pay everything", p),
@@ -182,6 +187,7 @@ def test_compaction_across_chunks_and_tiles_is_bit_identical(monkeypatch):
     # A budget of 3 paths x 64 steps gives three-path tiles that compact every
     # 64 steps; with an odd tile size the antithetic pairs (2, 3) and (8, 9)
     # straddle two tiles.  The default budget runs all 240 steps in one chunk.
+    # On two workers the four tiles are shared out between the processes.
     p = make_params(kappa=1.05)
     cfg = SimConfig(x1_0=1.3, x2_0=1.0, dt=1 / 12, horizon_T=20.0, n_paths=12, seed=4242)
     cases = [
@@ -196,8 +202,9 @@ def test_compaction_across_chunks_and_tiles_is_bit_identical(monkeypatch):
     assert reference[0].censored.sum() == 1
 
     monkeypatch.setattr(simulate, "_CHUNK_BUDGET", 2 * 64 * 3)
-    for (c, pol), ref in zip(cases, reference):
-        assert_same_paths(simulate_paths(c, pol, p), ref)
+    for workers in (1, 2):
+        for (c, pol), ref in zip(cases, reference):
+            assert_same_paths(simulate_paths(replace(c, n_workers=workers), pol, p), ref)
 
 
 class _CountingStream:
@@ -242,7 +249,7 @@ def test_ruined_paths_stop_drawing(monkeypatch):
 
 def test_bitwise_identical_across_worker_counts():
     # Each path owns a jumped stream, so splitting paths across processes --
-    # even splitting an antithetic pair across two blocks -- changes nothing.
+    # even splitting an antithetic pair across two tiles -- changes nothing.
     p = make_params(kappa=1.05)
     pol = DoubleBarrier(beta=1.8, gamma=1.0)
     cfg = replace(BASE_CFG, n_paths=6, antithetic=True)
