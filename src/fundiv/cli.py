@@ -125,8 +125,11 @@ def cmd_value(args: argparse.Namespace) -> int:
         gamma = args.gamma if args.gamma is not None else p.alpha0
         beta = args.beta if args.beta is not None else injections.optimal_barrier_beta2(p)
         fn = injections.double_barrier_value(beta, gamma, p)
-    value = fn.evaluate(x1, x2)
-    d1, d2 = fn.partials(x1, x2)[:2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = fn.evaluate(x1, x2)
+        d1, d2 = fn.partials(x1, x2)[:2]
+    if not np.isfinite([value, d1, d2]).all():
+        raise NumericalError(f"value {value!r} or its slopes overflow at ({x1!r}, {x2!r})")
     ratio = x1 / x2
     if ratio > beta:
         branch = "above-barrier"
@@ -232,6 +235,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     p = _gather_params(args)
+    for flag in ("steps", "gamma_steps", "beta_steps"):
+        if getattr(args, flag) < 0:
+            raise ConfigError(f"--{flag} {getattr(args, flag)} must not be negative")
     rows: list[str] = []
     if args.kind == "beta2-vs-kappa":
         header = "kappa,beta2_star"

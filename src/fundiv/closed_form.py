@@ -41,6 +41,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .params import ModelParams, require_alpha1, validate
 
@@ -100,6 +102,10 @@ class ClosedFormValue:
     injection ray with slope ``kappa`` (inject up to gamma).  The ruin-stopped
     value is the case gamma = alpha0, B = -A, which is exactly zero on the
     ruin ray; ratios below alpha0 are rejected, so it never uses ``kappa``.
+
+    ``evaluate`` and ``partials`` take scalars or broadcastable arrays and
+    pick the branch per entry.  The powers are taken at the ratio clipped to
+    the band, so a branch an entry does not use neither overflows nor warns.
     """
 
     beta: float
@@ -117,45 +123,53 @@ class ClosedFormValue:
             return (self.gamma, self.beta)
         return (self.beta,)
 
-    def _ratio(self, x1: float, x2: float) -> float:
-        if not x2 > 0.0:
-            raise DomainError(f"x2 = {x2!r} must be positive")
+    def _branches(self, x1, x2):
+        """(x1, x2) as arrays, the ratio clipped to the band, the slope off the band
+        (0 on it) and A u^zeta1, B u^zeta2 at the clipped ratio."""
+        x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+        if not (x2 > 0.0).all():
+            raise DomainError(f"x2 = {float(x2[~(x2 > 0.0)][0])!r} must be positive")
         r = x1 / x2
-        if r < self.alpha0:
-            raise DomainError(f"x1/x2 = {r!r} lies below the ruin level alpha0 = {self.alpha0!r}")
-        return r
-
-    def _band(self, r: float) -> float:
-        u = r / self.gamma
-        return self.A * _rpow(u, self.exponents.zeta1) + self.B * _rpow(u, self.exponents.zeta2)
+        if (r < self.alpha0).any():
+            raise DomainError(
+                f"x1/x2 = {float(np.asarray(r)[r < self.alpha0][0])!r} lies below the ruin level "
+                f"alpha0 = {self.alpha0!r}"
+            )
+        slope = np.where(r > self.beta, 1.0, 0.0)
+        if self.gamma > self.alpha0:  # only then can a ratio lie below the injection ray
+            slope = np.where(r < self.gamma, self.kappa, slope)
+        rc = np.minimum(np.maximum(r, self.gamma), self.beta)
+        lu = np.log(rc / self.gamma)
+        z1, z2 = self.exponents.zeta1, self.exponents.zeta2
+        return x1, x2, rc, slope, self.A * np.exp(z1 * lu), self.B * np.exp(z2 * lu)
 
     def value_at_barrier(self, x2: float = 1.0) -> float:
         """Value on the payout ray, V(beta * x2, x2)."""
-        return x2 * self._band(self.beta)
+        return x2 * self.evaluate(self.beta, 1.0)
 
-    def evaluate(self, x1: float, x2: float) -> float:
-        """Value at (x1, x2); both barrier rays use the band formula."""
-        r = self._ratio(x1, x2)
-        if r < self.gamma:
-            return self.kappa * (x1 - self.gamma * x2) + x2 * self._band(self.gamma)
-        if r <= self.beta:
-            return x2 * self._band(r)
-        return x1 - self.beta * x2 + self.value_at_barrier(x2)
+    def evaluate(self, x1: float | np.ndarray, x2: float | np.ndarray) -> float | np.ndarray:
+        """Value at (x1, x2), a float for scalars; both barrier rays use the band formula."""
+        x1, x2, rc, slope, t1, t2 = self._branches(x1, x2)
+        return _scalar(x2 * (t1 + t2) + slope * (x1 - rc * x2))
 
-    def partials(self, x1: float, x2: float) -> tuple[float, float, float, float, float]:
-        """Exact branch partials (dV/dx1, dV/dx2, d2V/dx1^2, d2V/dx2^2, d2V/dx1dx2)."""
-        r = self._ratio(x1, x2)
-        if r < self.gamma:
-            return (self.kappa, self._band(self.gamma) - self.kappa * self.gamma, 0.0, 0.0, 0.0)
-        if r <= self.beta:
-            z1, z2 = self.exponents.zeta1, self.exponents.zeta2
-            u = r / self.gamma
-            t1, t2 = self.A * _rpow(u, z1), self.B * _rpow(u, z2)
-            d1 = (z1 * t1 + z2 * t2) / r
-            d2 = (1.0 - z1) * t1 + (1.0 - z2) * t2
-            curv = z1 * (z1 - 1.0) * t1 + z2 * (z2 - 1.0) * t2
-            return (d1, d2, curv / (r * r * x2), curv / x2, -curv / (r * x2))
-        return (1.0, self._band(self.beta) - self.beta, 0.0, 0.0, 0.0)
+    def partials(self, x1: float | np.ndarray, x2: float | np.ndarray) -> tuple:
+        """Exact branch partials (dV/dx1, dV/dx2, d2V/dx1^2, d2V/dx2^2, d2V/dx1dx2).
+
+        Each entry has the broadcast shape of (x1, x2), a float for scalars.
+        """
+        x1, x2, rc, slope, t1, t2 = self._branches(x1, x2)
+        z1, z2, band = self.exponents.zeta1, self.exponents.zeta2, slope == 0.0
+        d1 = np.where(band, (z1 * t1 + z2 * t2) / rc, slope)
+        d2 = np.where(band, (1.0 - z1) * t1 + (1.0 - z2) * t2, (t1 + t2) - slope * rc)
+        curv = np.where(band, z1 * (z1 - 1.0) * t1 + z2 * (z2 - 1.0) * t2, 0.0)
+        return tuple(
+            _scalar(d) for d in (d1, d2, curv / (rc * rc * x2), curv / x2, -curv / (rc * x2))
+        )
+
+
+def _scalar(a: np.ndarray) -> float | np.ndarray:
+    """A 0-d result as a float, any other as the array."""
+    return float(a) if a.ndim == 0 else a
 
 
 def closed_form_value(beta: float, p: ModelParams) -> ClosedFormValue:

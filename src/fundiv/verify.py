@@ -4,8 +4,10 @@ Each candidate value function must satisfy a short list of analytic
 conditions (nonnegativity, pasting smoothness at the barrier, slope bounds,
 and the sign of the discounted generator) for the verification argument to
 go through.  This module evaluates those conditions on a dense logarithmic
-grid of funding ratios and reports the worst violation per condition, so a
-correct barrier passes at rounding level while a perturbed one fails loudly.
+grid of funding ratios, in one array pass over the whole grid, and reports
+the worst violation per condition, so a correct barrier passes at rounding
+level while a perturbed one fails loudly.  A NaN anywhere fails its
+condition and is reported where it first occurs.
 
 The generator of the asset-liability diffusion acts on smooth f as
 
@@ -16,13 +18,15 @@ The generator of the asset-liability diffusion acts on smooth f as
 Residuals of (A - delta)f are reported relative to the sum of the magnitudes
 of the individual terms, which is the natural scale for a sum that should
 cancel.  Finite-difference mode uses central stencils with relative step
-1e-5 (floored at 1e-9); grid points whose stencil would straddle a barrier
-kink are shifted off the seam rather than differenced across it.
+1e-5 (floored at 1e-9) on the same arrays; grid points whose stencil would
+straddle a barrier kink are shifted off the seam rather than differenced
+across it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,29 +107,20 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _steps(x1: float, x2: float, h_rel: float, h_min: float) -> tuple[float, float]:
-    return max(h_rel * abs(x1), h_min), max(h_rel * abs(x2), h_min)
+def _steps(x1, x2, h_rel: float, h_min: float):
+    return np.maximum(h_rel * np.abs(x1), h_min), np.maximum(h_rel * np.abs(x2), h_min)
 
 
-def _stencil_span(x1: float, x2: float, h1: float, h2: float) -> tuple[float, float]:
+def _stencil_span(x1, x2, h1, h2):
     """Range of funding ratios touched by the 9-point central stencil."""
     lo = (x1 - h1) / (x2 + h2)
-    hi = (x1 + h1) / (x2 - h2) if x2 - h2 > 0.0 else math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hi = np.where(x2 - h2 > 0.0, (x1 + h1) / (x2 - h2), math.inf)
     return lo, hi
 
 
-def _evaluator(fn):
-    if hasattr(fn, "evaluate"):
-        return fn.evaluate
-    if callable(fn):
-        return fn
-    raise TypeError(f"cannot evaluate {fn!r}")
-
-
-def _fd_partials(
-    fn, x1: float, x2: float, h_rel: float, h_min: float
-) -> tuple[float, float, float, float, float]:
-    ev = _evaluator(fn)
+def _fd_partials(fn, x1, x2, h_rel: float, h_min: float):
+    ev = fn.evaluate
     h1, h2 = _steps(x1, x2, h_rel, h_min)
     f0 = ev(x1, x2)
     fp = ev(x1 + h1, x2)
@@ -144,6 +139,13 @@ def _fd_partials(
     return d1, d2, d11, d22, d12
 
 
+def _partials(fn, x1, x2, mode: str, h_rel: float = FD_REL_STEP, h_min: float = FD_MIN_STEP):
+    """Exact branch partials in analytic mode, central differences otherwise."""
+    if mode == "analytic":
+        return fn.partials(x1, x2)
+    return _fd_partials(fn, x1, x2, h_rel, h_min)
+
+
 def generator_apply(
     fn,
     x1: float,
@@ -155,20 +157,19 @@ def generator_apply(
     h_min: float = FD_MIN_STEP,
     seams: tuple[float, ...] | None = None,
 ) -> float:
-    """Apply the diffusion generator A to ``fn`` at (x1, x2).
+    """Apply the diffusion generator A to the value object ``fn`` at (x1, x2).
 
-    In analytic mode ``fn`` must expose exact branch partials via
-    ``fn.partials(x1, x2)``; in finite-difference mode only evaluation is
-    needed (``fn.evaluate`` or a plain callable) and central differences are
-    used.  ``seams`` (default: ``fn.seam_ratios`` when present) are funding
-    ratios with kinks; a stencil straddling one raises :class:`SeamError`.
+    Analytic mode uses the exact branch partials ``fn.partials(x1, x2)``;
+    finite-difference mode uses central differences of ``fn.evaluate``.  An
+    object without ``partials`` raises :class:`TypeError`.  ``seams``
+    (default: ``fn.seam_ratios`` when present) are funding ratios with kinks;
+    a stencil straddling one raises :class:`SeamError`.
     """
     validate(p)
-    if mode == "analytic":
-        if not hasattr(fn, "partials"):
-            raise TypeError("analytic mode needs an object with exact partials")
-        parts = fn.partials(x1, x2)
-    elif mode in _FD_MODES:
+    mode = _normalize_mode(mode)
+    if not hasattr(fn, "partials"):
+        raise TypeError(f"{fn!r} is not a value object with exact partials")
+    if mode != "analytic":
         if seams is None:
             seams = tuple(getattr(fn, "seam_ratios", ()))
         h1, h2 = _steps(x1, x2, h_rel, h_min)
@@ -176,18 +177,13 @@ def generator_apply(
         for seam in seams:
             if lo <= seam <= hi:
                 raise SeamError(
-                    f"stencil around x1/x2 = {x1 / x2!r} spans [{lo!r}, {hi!r}] "
+                    f"stencil around x1/x2 = {x1 / x2!r} spans [{float(lo)!r}, {float(hi)!r}] "
                     f"and straddles the kink at {seam!r}"
                 )
-        parts = _fd_partials(fn, x1, x2, h_rel, h_min)
-    else:
-        raise ValueError(f"unknown mode {mode!r}; use 'analytic' or 'finite-difference'")
-    return sum(_generator_terms(parts, x1, x2, p))
+    return sum(_generator_terms(_partials(fn, x1, x2, mode, h_rel, h_min), x1, x2, p))
 
 
-def _generator_terms(
-    partials: tuple[float, float, float, float, float], x1: float, x2: float, p: ModelParams
-) -> tuple[float, float, float, float, float]:
+def _generator_terms(partials, x1, x2, p: ModelParams):
     """The five terms of A f at (x1, x2), from the partials of f."""
     d1, d2, d11, d22, d12 = partials
     return (
@@ -199,50 +195,31 @@ def _generator_terms(
     )
 
 
-def _gen_residual(
-    value: float, partials: tuple[float, float, float, float, float], x1: float, x2: float, p: ModelParams
-) -> float:
-    """(A - delta)f relative to the sum of the magnitudes of its terms."""
-    terms = (*_generator_terms(partials, x1, x2, p), -p.delta * value)
-    return math.fsum(terms) / max(sum(abs(t) for t in terms), 1e-300)
-
-
-def _clear_of_seams(r: float, seams: tuple[float, ...], lo_limit: float, h_rel: float, h_min: float) -> float:
-    """Shift the evaluation point (not the stencil) off any kink it straddles."""
+def _clear_of_seams(r: np.ndarray, seams: tuple[float, ...], lo_limit: float) -> np.ndarray:
+    """Shift each evaluation point (not the stencil) off the first kink its stencil straddles."""
     for _ in range(8):
-        h1, h2 = _steps(r, 1.0, h_rel, h_min)
+        h1, h2 = _steps(r, 1.0, FD_REL_STEP, FD_MIN_STEP)
         span_lo, span_hi = _stencil_span(r, 1.0, h1, h2)
-        offending = [s for s in seams if span_lo <= s <= span_hi]
-        if not offending:
+        seam = np.full(r.shape, math.nan)
+        for s in reversed(seams):
+            seam = np.where((span_lo <= s) & (s <= span_hi), s, seam)
+        hit = ~np.isnan(seam)
+        if not hit.any():
             return r
-        seam = offending[0]
-        width = max(span_hi - r, r - span_lo)
-        direction = 1.0 if r >= seam else -1.0
-        shifted = seam + direction * 3.0 * width
-        if shifted <= lo_limit:
-            shifted = seam + 3.0 * width
-        r = shifted
-    raise SeamError(f"could not move evaluation point clear of kinks near r = {r!r}")
+        width = np.maximum(span_hi - r, r - span_lo)
+        shifted = seam + np.where(r >= seam, 1.0, -1.0) * 3.0 * width
+        shifted = np.where(shifted <= lo_limit, seam + 3.0 * width, shifted)
+        r = np.where(hit, shifted, r)
+    raise SeamError(f"could not move evaluation point clear of kinks near r = {float(r[hit][0])!r}")
 
 
-def _one_sided(ev, r: float, h: float) -> tuple[float, float]:
-    """Second-order one-sided d/dx1 and d2/dx1^2 at (r, 1): from below for h > 0, above for h < 0."""
-    f0 = ev(r, 1.0)
-    f1 = ev(r - h, 1.0)
-    f2 = ev(r - 2.0 * h, 1.0)
+def _one_sided(fn, r: float, side: float) -> tuple[float, float]:
+    """Second-order one-sided d/dx1 and d2/dx1^2 at (r, 1): from below for side 1, above for -1."""
+    h = side * _steps(r, 1.0, FD_REL_STEP, FD_MIN_STEP)[0]
+    f0, f1, f2 = fn.evaluate(r - np.array([0.0, 1.0, 2.0]) * h, 1.0)
     d1 = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
     d11 = (f0 - 2.0 * f1 + f2) / (h * h)
     return d1, d11
-
-
-def _partials_at(fn, r: float, mode: str, seams: tuple[float, ...], alpha0: float):
-    """Branch partials at (r, 1), shifting the point off seams in fd mode."""
-    if mode == "analytic":
-        return r, fn.partials(r, 1.0)
-    # Keep the whole stencil inside the domain (ratios >= alpha0) and off kinks.
-    edge = alpha0 * (1.0 + 10.0 * FD_REL_STEP)
-    r_eff = _clear_of_seams(max(r, edge), seams, edge, FD_REL_STEP, FD_MIN_STEP)
-    return r_eff, _fd_partials(fn, r_eff, 1.0, FD_REL_STEP, FD_MIN_STEP)
 
 
 def _tol_equality(mode: str) -> float:
@@ -264,23 +241,25 @@ def _normalize_mode(mode: str) -> str:
 
 
 def _grid_pass(fn, p: ModelParams, level: float, n_points: int, mode: str):
-    """Evaluate ``fn`` once per ratio of the lemma grid [alpha0, 3 level].
+    """Evaluate ``fn`` at all ratios of the lemma grid [alpha0, 3 level] at once.
 
     Returns arrays of the grid ratios r, the values H(r, 1), the ratios
     r_eff where the partials were taken (r, or off a kink in fd mode), the
     partials at r_eff (one row each) and (A - delta)H / scale at r_eff.
     """
-    seams = fn.seam_ratios
-    rows = []
-    for r in np.geomspace(p.alpha0, 3.0 * level, n_points):
-        r = float(r)
-        value = fn.evaluate(r, 1.0)
-        r_eff, parts = _partials_at(fn, r, mode, seams, p.alpha0)
-        value_eff = fn.evaluate(r_eff, 1.0) if r_eff != r else value
-        gen = _gen_residual(value_eff, parts, r_eff, 1.0, p)
-        rows.append((r, value, r_eff, gen, *parts))
-    cols = np.array(rows, dtype=float).reshape(-1, 9)
-    return cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 4:], cols[:, 3]
+    if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral) or n_points < 2:
+        raise ValueError(f"n_points = {n_points!r} must be an integer >= 2")
+    r = np.geomspace(p.alpha0, 3.0 * level, n_points)
+    value = fn.evaluate(r, 1.0)
+    r_eff = r
+    if mode != "analytic":
+        # Keep the whole stencil inside the domain (ratios >= alpha0) and off kinks.
+        edge = p.alpha0 * (1.0 + 10.0 * FD_REL_STEP)
+        r_eff = _clear_of_seams(np.maximum(r, edge), fn.seam_ratios, edge)
+    parts = _partials(fn, r_eff, 1.0, mode)
+    terms = (*_generator_terms(parts, r_eff, 1.0, p), -p.delta * fn.evaluate(r_eff, 1.0))
+    gen = sum(terms) / np.maximum(sum(np.abs(t) for t in terms), 1e-300)
+    return r, value, r_eff, np.column_stack(parts), gen
 
 
 def _pasting(fn, level: float, mode: str, mid_curvature=None) -> list[float]:
@@ -298,8 +277,7 @@ def _pasting(fn, level: float, mode: str, mid_curvature=None) -> list[float]:
         curvatures = below[2:]
     else:
         # One-sided slope from below carries only the fd truncation term.
-        h1, _ = _steps(level, 1.0, FD_REL_STEP, FD_MIN_STEP)
-        d1b, d11b = _one_sided(fn.evaluate, level, h1)
+        d1b, d11b = _one_sided(fn, level, 1.0)
         out = [abs(d1b - 1.0)]
         curvatures = (d11b,)
     if mid_curvature is not None:
@@ -308,20 +286,21 @@ def _pasting(fn, level: float, mode: str, mid_curvature=None) -> list[float]:
 
 
 def _negativity(value: np.ndarray) -> np.ndarray:
-    return np.fmax(0.0, -value) / np.fmax(1.0, np.abs(value))
+    return np.maximum(0.0, -value) / np.maximum(1.0, np.abs(value))
 
 
 def _worst(condition_id: str, violation, location, tolerance: float) -> ConditionResult:
     """Largest violation of one condition and the first ratio where it occurs.
 
-    No point checked counts as a pass at 0; a NaN counts only at the first
-    point, where it fails the condition.
+    No point checked counts as a pass at 0; a NaN anywhere fails the
+    condition and is reported at the first NaN.
     """
     v = np.asarray(violation, dtype=float)
     if v.size == 0:
         worst, at = 0.0, math.nan
     else:
-        i = 0 if math.isnan(v[0]) else int(np.nanargmax(v))
+        nans = np.flatnonzero(np.isnan(v))
+        i = int(nans[0]) if nans.size else int(np.argmax(v))
         worst, at = float(v[i]), float(location[i])
     return ConditionResult(
         condition_id=condition_id,
@@ -347,6 +326,7 @@ def _report(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the report shows where values stop being finite
 def check_solvency_lemma(
     p: ModelParams,
     *,
@@ -382,12 +362,13 @@ def check_solvency_lemma(
         ("nonnegative", _negativity(value), r, TOL_INEQUALITY),
         ("c1-pasting", pasting, [level] * len(pasting), tol_eq),
         ("bounded-partials", np.where(finite, 0.0, math.inf), r_eff, TOL_INEQUALITY),
-        ("slope-at-least-one", np.fmax(0.0, 1.0 - parts[pay, 0]), r_eff[pay], tol_ineq),
+        ("slope-at-least-one", np.maximum(0.0, 1.0 - parts[pay, 0]), r_eff[pay], tol_ineq),
         ("generator-zero-band", np.abs(gen[band]), r_eff[band], tol_eq),
-        ("generator-nonpositive-above", np.fmax(0.0, gen[above]), r_eff[above], tol_ineq),
+        ("generator-nonpositive-above", np.maximum(0.0, gen[above]), r_eff[above], tol_ineq),
     ])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_injection_lemma(
     p: ModelParams,
     *,
@@ -420,15 +401,14 @@ def check_injection_lemma(
     if mode == "analytic":
         d1_floor = dv.partials(p.alpha0, 1.0)[0]
     else:
-        hg, _ = _steps(p.alpha0, 1.0, FD_REL_STEP, FD_MIN_STEP)
-        d1_floor = _one_sided(dv.evaluate, p.alpha0, -hg)[0]
+        d1_floor = _one_sided(dv, p.alpha0, -1.0)[0]
     pasting = _pasting(dv, level, mode, mid_curvature) + [abs(d1_floor - kappa) / kappa]
     d1 = parts[:, 0]
     return _report("injection", level, mode, p, n_points, [
         ("c2-pasting", pasting, [level] * (len(pasting) - 1) + [p.alpha0], tol_eq),
         ("nonnegative", _negativity(value), r, TOL_INEQUALITY),
-        ("generator-sign", np.fmax(0.0, gen), r_eff, tol_ineq),
-        ("slope-corridor", np.fmax(np.fmax(0.0, 1.0 - d1), d1 - kappa), r_eff, tol_ineq),
+        ("generator-sign", np.maximum(0.0, gen), r_eff, tol_ineq),
+        ("slope-corridor", np.maximum(np.maximum(0.0, 1.0 - d1), d1 - kappa), r_eff, tol_ineq),
         ("bounded-dx2", np.where(np.isfinite(parts[:, 1]), 0.0, math.inf), r_eff, TOL_INEQUALITY),
     ])
 
@@ -455,9 +435,7 @@ def check_smooth_fit(p: ModelParams, problem: str = "solvency") -> float | None:
         fn = double_barrier_value(level, p.alpha0, p)
     else:
         raise ValueError(f"unknown problem {problem!r}; use 'solvency' or 'injection'")
-    mid = 0.5 * (p.alpha0 + level)
-    d11_barrier = fn.partials(level, 1.0)[2]
-    d11_mid = fn.partials(mid, 1.0)[2]
+    d11_barrier, d11_mid = fn.partials(np.array([level, 0.5 * (p.alpha0 + level)]), 1.0)[2]
     if d11_mid == 0.0:
         raise DomainError("mid-band curvature vanished; cannot normalise smooth fit")
-    return d11_barrier / abs(d11_mid)
+    return float(d11_barrier / abs(d11_mid))

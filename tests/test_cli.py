@@ -145,6 +145,17 @@ def test_value_domain_failures_exit_2(capsys, p1_config):
     assert rc == 2
 
 
+def test_value_overflow_exits_3(capsys, p1_config):
+    # u^zeta2 overflows on the band under a barrier of 1e300.
+    rc, out, err = run_cli(
+        capsys, "value", "--config", p1_config, "--problem", "unconstrained",
+        "--beta", "1e300", "--x1", "1e299", "--x2", "1.0",
+    )
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error:") and "Warning" not in err
+
+
 def test_value_injection_needs_kappa(capsys, p1_config):
     rc, _, err = run_cli(
         capsys, "value", "--config", p1_config,
@@ -267,6 +278,31 @@ def test_sweep_breakeven_direction(capsys, p1_config):
     assert len(stars) == 3
     # recapitalisation tolerates a higher cost when the business is safer
     assert stars[0] > stars[1] > stars[2]
+
+
+@pytest.mark.parametrize("kind, flag", [
+    ("beta2-vs-kappa", "--steps"),
+    ("breakeven", "--steps"),
+    ("value-surface", "--gamma_steps"),
+    ("value-surface", "--beta_steps"),
+])
+def test_sweep_negative_count_exits_1(capsys, p1_config, kind, flag):
+    rc, out, err = run_cli(
+        capsys, "sweep", "--config", p1_config, "--kappa", "1.05", "--kind", kind, flag, "-1",
+    )
+    assert rc == 1
+    assert out == ""
+    assert flag in err and "Traceback" not in err
+
+
+def test_verify_overflowing_barrier_exits_2_with_a_report(capsys, p1_config):
+    rc, out, err = run_cli(
+        capsys, "verify", "--config", p1_config, "--alpha1", "1.2",
+        "--problem", "solvency", "--barrier-override", "1e300",
+    )
+    assert rc == 2
+    assert "passed = false" in out
+    assert err == ""
 
 
 def test_verify_both_problems_pass(capsys, p1_config):

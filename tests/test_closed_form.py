@@ -159,6 +159,38 @@ def test_partials_match_finite_differences():
         assert d2 == pytest.approx(fd2, rel=1e-8)
 
 
+@pytest.mark.parametrize("name", VALUE_CASES)
+def test_array_calls_match_scalar_calls(name):
+    # Ratios on every branch and on both rays: below gamma (interior gamma
+    # only), gamma, the band, beta, above beta; x2 broadcast against x1.
+    cf = value_case(name)
+    ratios = np.array([1.1, cf.gamma, 1.5, 2.0, cf.beta, 1.2 * cf.beta, 9.0])
+    ratios = ratios[ratios >= cf.alpha0]
+    x2 = np.array([[0.5], [1.0], [3.7]])
+    x1 = ratios * x2
+    values = cf.evaluate(x1, x2)
+    parts = cf.partials(x1, x2)
+    assert values.shape == x1.shape
+    assert all(d.shape == x1.shape for d in parts)
+    for (i, j), v in np.ndenumerate(values):
+        scalar_value = cf.evaluate(float(x1[i, j]), float(x2[i, 0]))
+        scalar_parts = cf.partials(float(x1[i, j]), float(x2[i, 0]))
+        assert type(scalar_value) is float
+        assert all(type(d) is float for d in scalar_parts)
+        assert v == scalar_value
+        assert tuple(d[i, j] for d in parts) == scalar_parts
+
+
+def test_array_with_an_entry_below_alpha0_rejected():
+    cf = value_case("injection-interior-gamma")
+    with pytest.raises(DomainError, match="0.9"):
+        cf.evaluate(np.array([2.0, 0.9, 1.5]), 1.0)
+    with pytest.raises(DomainError, match="0.9"):
+        cf.partials(np.array([2.0, 0.9, 1.5]), 1.0)
+    with pytest.raises(DomainError, match="x2"):
+        cf.evaluate(2.0, np.array([1.0, -1.0]))
+
+
 def test_both_problems_share_one_value_class():
     assert type(value_case("ruin-stopped")) is type(value_case("injection"))
 

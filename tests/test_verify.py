@@ -3,6 +3,7 @@ perturbed barriers fail loudly, and the generator helpers behave."""
 
 import math
 
+import numpy as np
 import pytest
 
 from fundiv import (
@@ -17,6 +18,7 @@ from fundiv import (
     generator_apply,
     optimal_barrier_beta0,
     optimal_barrier_beta2,
+    verify,
 )
 from helpers import P1, make_params
 
@@ -228,3 +230,82 @@ def test_report_to_text_shape():
     bad_text = bad.to_text()
     assert "FAIL" in bad_text
     assert bad_text.splitlines()[-1] == "passed = false"
+
+
+def test_nan_anywhere_fails_its_condition():
+    row = verify._worst("cond", [0.0, math.nan, 0.0], [1.0, 2.0, 3.0], 1e-10)
+    assert math.isnan(row.worst_violation)
+    assert row.location == 2.0
+    assert not row.passed
+    report = verify._report("solvency", 3.0, "analytic", make_params(), 3, [
+        ("cond", [0.0, math.nan, 0.0], [1.0, 2.0, 3.0], 1e-10),
+    ])
+    assert "cond: worst = nan at r = 2 (tol = 1.0e-10) FAIL" in report.to_text().splitlines()
+    assert not report.passed
+
+
+def test_non_finite_generator_residuals_fail_the_lemma():
+    # At a barrier of 1e200 the generator terms overflow far up the grid.
+    report = check_solvency_lemma(solvency_params(), barrier=1e200)
+    above = condition(report, "generator-nonpositive-above")
+    assert math.isnan(above.worst_violation)
+    assert not above.passed
+    assert not report.passed
+
+
+@pytest.mark.parametrize("check", [check_solvency_lemma, check_injection_lemma])
+@pytest.mark.parametrize("n_points", [0, 1, -5, 2.5, True, "8"])
+def test_lemma_checks_reject_bad_grid_sizes(check, n_points):
+    p = make_params(alpha1=1.2, kappa=1.05)
+    with pytest.raises(ValueError, match="n_points"):
+        check(p, barrier=3.0, n_points=n_points)
+
+
+@pytest.mark.parametrize("mode", ["analytic", "finite-difference"])
+@pytest.mark.parametrize("problem", ["solvency", "injection"])
+def test_grid_pass_matches_per_point_calls(problem, mode):
+    # The array pass against scalar calls at each point: the same arithmetic
+    # per entry, except the residual's sum, which was an fsum per point.
+    if problem == "solvency":
+        p = solvency_params()
+        level = optimal_barrier_beta0(p)
+        fn = closed_form_value(level, p)
+    else:
+        p = injection_params()
+        level = optimal_barrier_beta2(p)
+        fn = double_barrier_value(level, 1.1, p)  # kinks at gamma and beta
+    r, value, r_eff, parts, gen = verify._grid_pass(fn, p, level, 64, mode)
+    edge = p.alpha0 * (1.0 + 10.0 * verify.FD_REL_STEP)
+    for i in range(r.size):
+        assert value[i] == fn.evaluate(float(r[i]), 1.0)
+        x = float(r_eff[i])
+        if mode == "analytic":
+            assert x == r[i]
+        else:
+            # Off every kink, and moved only where the stencil straddled one.
+            h1, h2 = verify._steps(x, 1.0, verify.FD_REL_STEP, verify.FD_MIN_STEP)
+            lo, hi = verify._stencil_span(x, 1.0, h1, h2)
+            assert not any(lo <= s <= hi for s in fn.seam_ratios)
+            if x != max(r[i], edge):
+                assert abs(x - r[i]) <= 1e-3 * r[i]
+        scalar_parts = verify._partials(fn, x, 1.0, mode)
+        assert tuple(parts[i]) == tuple(scalar_parts)
+        terms = (*verify._generator_terms(scalar_parts, x, 1.0, p), -p.delta * fn.evaluate(x, 1.0))
+        expected = math.fsum(terms) / max(sum(abs(t) for t in terms), 1e-300)
+        assert gen[i] == pytest.approx(expected, rel=0, abs=8 * np.finfo(float).eps)
+
+
+def test_points_on_kinks_move_clear_of_them():
+    seams, edge = (1.1, 2.0), 1.0001
+    r = np.array([1.05, 1.1, 1.1 * (1 - 1e-6), 1.5, 2.0, 2.0 * (1 + 1e-6), 3.0])
+    moved = verify._clear_of_seams(r, seams, edge)
+    for before, after in zip(r, moved):
+        h1, h2 = verify._steps(after, 1.0, verify.FD_REL_STEP, verify.FD_MIN_STEP)
+        lo, hi = verify._stencil_span(after, 1.0, h1, h2)
+        assert not any(lo <= s <= hi for s in seams)
+        if before in (1.05, 1.5, 3.0):
+            assert after == before
+        else:
+            seam = min(seams, key=lambda s: abs(s - before))
+            assert (after > seam) == (before >= seam)  # moved away on its own side
+            assert abs(after - before) <= 1e-4 * before
