@@ -21,17 +21,20 @@ path's draws, so two policies run on one seed still see common random
 numbers path by path while both arms are alive.  With antithetic pairing
 path 2j+1 consumes the negated draws of stream j.
 
-Paths run in tiles of at most ``_CHUNK_BUDGET // 128`` paths, so one tile's
-draw buffer never exceeds ``_CHUNK_BUDGET`` scalars.  Tiles are the only unit
-of work: a serial run maps them in order, and a run on several workers hands
-them to a process pool one at a time.  Under a ruin-stopped policy each tile
-drops its ruined paths at every chunk boundary and stops once none is left.
+Paths run in tiles of at most ``_CHUNK_BUDGET // (2 * _CHUNK_STEPS)`` paths
+(46,875), and a tile steps in chunks of ``_CHUNK_STEPS`` = 128 steps, so one
+tile's draw buffer never exceeds ``_CHUNK_BUDGET`` scalars.  Tiles are the
+only unit of work: a serial run maps them in order, and a run on several
+workers hands them to a process pool (at most one process per CPU) one at a
+time.  A ruined path's outputs are written when it is ruined; its row is
+dropped at the next chunk boundary, and a tile stops once none is left.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -61,6 +64,8 @@ __all__ = [
 
 #: Target scalar count for one chunk of normal draws (memory / call-overhead knob).
 _CHUNK_BUDGET = 12_000_000
+#: Steps per chunk: a tile draws, grows and steps this many steps at a time.
+_CHUNK_STEPS = 128
 
 
 @dataclass(frozen=True)
@@ -241,6 +246,15 @@ def _validate_run(cfg: SimConfig, policy: Policy, p: ModelParams) -> int:
         raise ConfigError(f"seed = {cfg.seed!r} must be an integer in [0, 2**128)")
     if not (_is_int(cfg.n_workers) and cfg.n_workers >= 1):
         raise ConfigError(f"n_workers = {cfg.n_workers!r} must be an integer at least 1")
+    # Four output columns (three float64, one bool), held twice while the
+    # tiles are concatenated.
+    need = 2 * 25 * cfg.n_paths
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ConfigError(
+            f"n_paths = {cfg.n_paths!r} needs {need} bytes of per-path outputs, "
+            f"more than the {memory} bytes of physical memory"
+        )
     if not (math.isfinite(cfg.x1_0) and math.isfinite(cfg.x2_0)):
         raise ConfigError(f"start point ({cfg.x1_0!r}, {cfg.x2_0!r}) must be finite")
     if not cfg.x2_0 > 0.0:
@@ -310,10 +324,11 @@ def _run_tile(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Simulate paths [i0, i1); pure function of (cfg.seed, path index).
 
-    Under a ruin-stopped policy the working state is compacted to the live
-    paths at t = 0 and at every chunk boundary: a ruined path is written back
-    and neither draws nor steps again.  Inside a chunk the step is masked, so
-    per-path outputs do not depend on the chunk or tile size.
+    A ruined path's outputs are written when it is ruined, and its working
+    row is never read again, so per-path outputs do not depend on the chunk
+    or tile size.  Under a ruin-stopped policy the working state is compacted
+    to the live paths at t = 0 and at every chunk boundary: a ruined path
+    neither draws nor steps past the end of its chunk.
     """
     n = i1 - i0
     dt = cfg.dt
@@ -325,7 +340,6 @@ def _run_tile(
 
     injecting = isinstance(policy, DoubleBarrier)
     beta = policy.beta
-    gamma = policy.gamma if injecting else math.nan
     alpha0 = p.alpha0
 
     x1 = np.full(n, float(cfg.x1_0))
@@ -341,7 +355,7 @@ def _run_tile(
 
     def control(t: float, disc: float) -> None:
         if injecting:
-            np.multiply(x2, gamma, out=scratch)
+            np.multiply(x2, policy.gamma, out=scratch)
             np.subtract(scratch, x1, out=scratch)
             np.maximum(scratch, 0.0, out=scratch)
             np.add(x1, scratch, out=x1)
@@ -352,21 +366,18 @@ def _run_tile(
             ruined_now &= alive
             if ruined_now.any():
                 ruin_time[rows[ruined_now]] = t
+                pvd_out[rows[ruined_now]] = pvd[ruined_now]
                 alive[ruined_now] = False
         np.multiply(x2, beta, out=scratch)
         np.subtract(x1, scratch, out=scratch)
         np.maximum(scratch, 0.0, out=scratch)
-        if not injecting:
-            np.multiply(scratch, alive, out=scratch)  # no dividends once ruined
         np.subtract(x1, scratch, out=x1)
         np.multiply(scratch, disc, out=scratch)
         np.add(pvd, scratch, out=pvd)
 
     def compact() -> list[int]:
-        """Write back the ruined paths, drop them and return the kept positions."""
+        """Drop the ruined paths and return the kept positions."""
         nonlocal rows, x1, x2, pvd, alive, scratch
-        done = ~alive
-        pvd_out[rows[done]] = pvd[done]  # a ruined path's state no longer changes
         keep = np.flatnonzero(alive)
         rows, x1, x2, pvd, alive = rows[keep], x1[keep], x2[keep], pvd[keep], alive[keep]
         scratch = scratch[: keep.size]
@@ -377,13 +388,12 @@ def _run_tile(
         compact()
 
     rngs = _path_streams(int(cfg.seed), i0 + rows, cfg.antithetic)
-    chunk = max(64, min(4096, _CHUNK_BUDGET // max(2 * n, 1)))
-    draws = np.empty((n, chunk, 2))
-    grow_a_buf = np.empty(chunk * n)
-    grow_l_buf = np.empty(chunk * n)
+    draws = np.empty((n, _CHUNK_STEPS, 2))
+    grow_a_buf = np.empty(_CHUNK_STEPS * n)
+    grow_l_buf = np.empty(_CHUNK_STEPS * n)
     k = 0
     while k < n_steps and rows.size:
-        m = min(chunk, n_steps - k)
+        m = min(_CHUNK_STEPS, n_steps - k)
         live = rows.size
         block = draws[:live, :m]
         for j, rng in enumerate(rngs):
@@ -407,17 +417,17 @@ def _run_tile(
         np.add(grow_a, drift_a, out=grow_a)
         np.exp(grow_a, out=grow_a)
         disc = np.exp(-p.delta * dt * np.arange(k + 1, k + m + 1))
-        step_mask = True if injecting else alive
         for j in range(m):
-            np.multiply(x1, grow_a[j], out=x1, where=step_mask)
-            np.multiply(x2, grow_l[j], out=x2, where=step_mask)
+            np.multiply(x1, grow_a[j], out=x1)
+            np.multiply(x2, grow_l[j], out=x2)
             control((k + j + 1) * dt, disc[j])
         k += m
         if k < n_steps and not alive.all():
             rngs = [rngs[j] for j in compact()]
 
-    pvd_out[rows] = pvd
-    censored[rows] = alive
+    still = rows[alive]
+    pvd_out[still] = pvd[alive]
+    censored[still] = True
     return pvd_out, pvi, ruin_time, censored
 
 
@@ -429,12 +439,11 @@ def simulate_paths(cfg: SimConfig, policy: Policy, p: ModelParams) -> SimResult:
     """
     n_steps = _validate_run(cfg, policy, p)
     n = int(cfg.n_paths)
-    workers = min(int(cfg.n_workers), n)
-    # A tile holds at most _CHUNK_BUDGET // (2 * 64) paths, so even at the
-    # 64-step chunk floor its draw buffer stays within _CHUNK_BUDGET scalars,
-    # and at most an even share of the paths, so a small run still spreads
-    # over the workers.
-    tile = max(1, min(_CHUNK_BUDGET // (2 * 64), -(-n // workers)))
+    workers = min(int(cfg.n_workers), n, os.cpu_count() or 1)
+    # A tile holds at most _CHUNK_BUDGET // (2 * _CHUNK_STEPS) paths, so its
+    # draw buffer stays within _CHUNK_BUDGET scalars, and at most an even
+    # share of the paths, so a small run still spreads over the workers.
+    tile = max(1, min(_CHUNK_BUDGET // (2 * _CHUNK_STEPS), -(-n // workers)))
     starts = range(0, n, tile)
     ends = [min(i + tile, n) for i in starts]
     args = (repeat(p), repeat(policy), repeat(cfg), starts, ends, repeat(n_steps))

@@ -184,10 +184,11 @@ def test_path_streams_match_jumped_streams():
 
 
 def test_compaction_across_chunks_and_tiles_is_bit_identical(monkeypatch):
-    # A budget of 3 paths x 64 steps gives three-path tiles that compact every
-    # 64 steps; with an odd tile size the antithetic pairs (2, 3) and (8, 9)
-    # straddle two tiles.  The default budget runs all 240 steps in one chunk.
-    # On two workers the four tiles are shared out between the processes.
+    # 64-step chunks and a budget of 3 paths x 64 steps give three-path tiles
+    # that compact every 64 steps; with an odd tile size the antithetic pairs
+    # (2, 3) and (8, 9) straddle two tiles.  The default runs all 12 paths in
+    # one tile and the 240 steps in two chunks.  On two workers the four
+    # tiles are shared out between the processes.
     p = make_params(kappa=1.05)
     cfg = SimConfig(x1_0=1.3, x2_0=1.0, dt=1 / 12, horizon_T=20.0, n_paths=12, seed=4242)
     cases = [
@@ -201,6 +202,7 @@ def test_compaction_across_chunks_and_tiles_is_bit_identical(monkeypatch):
     assert set(ruin_chunk[~reference[0].censored]) == {1, 2, 3}
     assert reference[0].censored.sum() == 1
 
+    monkeypatch.setattr(simulate, "_CHUNK_STEPS", 64)
     monkeypatch.setattr(simulate, "_CHUNK_BUDGET", 2 * 64 * 3)
     for workers in (1, 2):
         for (c, pol), ref in zip(cases, reference):
@@ -232,19 +234,109 @@ def test_ruined_paths_stop_drawing(monkeypatch):
     assert not on_ray.censored.any()
     assert sum(drawn) == 0
 
-    # Chunks of 64 steps: a path ruined at step s draws through the end of
-    # its chunk, and nothing after it.
-    monkeypatch.setattr(simulate, "_CHUNK_BUDGET", 2 * 64 * 16)
+    # A path ruined at step s draws through the end of its chunk, and
+    # nothing after it: at the default 128-step chunk and at 64 steps.
     cfg = SimConfig(x1_0=1.3, x2_0=1.0, dt=1 / 12, horizon_T=40.0, n_paths=16, seed=11)
     n_steps = 480
-    drawn.clear()
-    result = simulate_paths(cfg, UnconstrainedBarrier(beta=1.5), p)
-    ruin_step = np.rint(result.ruin_time / cfg.dt)
-    steps_drawn = np.where(
-        result.censored, n_steps, np.minimum(np.ceil(ruin_step / 64) * 64, n_steps)
-    )
-    assert sum(drawn) == 2 * steps_drawn.sum()
-    assert sum(drawn) < 2 * cfg.n_paths * n_steps
+    for chunk in (128, 64):
+        monkeypatch.setattr(simulate, "_CHUNK_STEPS", chunk)
+        drawn.clear()
+        result = simulate_paths(cfg, UnconstrainedBarrier(beta=1.5), p)
+        ruin_step = np.rint(result.ruin_time / cfg.dt)
+        steps_drawn = np.where(
+            result.censored, n_steps, np.minimum(np.ceil(ruin_step / chunk) * chunk, n_steps)
+        )
+        assert sum(drawn) == 2 * steps_drawn.sum()
+        assert sum(drawn) < 2 * cfg.n_paths * n_steps
+
+
+def test_ratio_recovering_after_ruin_earns_nothing():
+    # With sigma_A = 0.6 and beta just above alpha0, several ruined paths would
+    # climb back above beta before the single 120-step chunk ends.  Every path
+    # must match a scalar reference that stops at ruin.
+    p = make_params(sigma_A=0.6)
+    beta = 1.05
+    cfg = SimConfig(x1_0=1.04, x2_0=1.0, dt=1 / 12, horizon_T=10.0, n_paths=16, seed=5)
+    n_steps = 120
+    result = simulate_paths(cfg, UnconstrainedBarrier(beta=beta), p)
+
+    drift_a = (p.mu_A - 0.5 * p.sigma_A**2) * cfg.dt
+    drift_l = (p.mu_L - 0.5 * p.sigma_L**2) * cfg.dt
+    vol_a = p.sigma_A * math.sqrt(cfg.dt)
+    vol_l = p.sigma_L * math.sqrt(cfg.dt)
+    mix = math.sqrt(1.0 - p.rho**2)
+    recovered = set()
+    for i, rng in enumerate(simulate._path_streams(cfg.seed, np.arange(cfg.n_paths), False)):
+        z = rng.standard_normal((n_steps, 2))
+        x1, x2, pvd, ruin_k = cfg.x1_0, cfg.x2_0, 0.0, None
+        for k in range(n_steps + 1):
+            if k:
+                x1 *= math.exp(drift_a + vol_a * z[k - 1, 0])
+                x2 *= math.exp(drift_l + vol_l * (p.rho * z[k - 1, 0] + mix * z[k - 1, 1]))
+            if ruin_k is None and x1 <= p.alpha0 * x2:
+                ruin_k = k
+            if ruin_k is not None:
+                if x1 > beta * x2:  # the free-running ratio, after ruin
+                    recovered.add(i)
+                continue
+            lump = max(x1 - beta * x2, 0.0)
+            x1 -= lump
+            pvd += lump * math.exp(-p.delta * k * cfg.dt)
+        assert result.pv_dividends[i] == pytest.approx(pvd, rel=1e-12)
+        assert result.censored[i] == (ruin_k is None)
+        t = cfg.horizon_T if ruin_k is None else ruin_k * cfg.dt
+        assert result.ruin_time[i] == pytest.approx(t, rel=1e-12)
+    assert recovered and not result.censored[sorted(recovered)].any()
+
+
+def test_pool_is_capped_at_cpu_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """A ProcessPoolExecutor stand-in that records its size and maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+    p = make_params()
+    pol = UnconstrainedBarrier(beta=1.5)
+    cases = [  # (cpu_count, n_workers, n_paths) -> processes
+        ((3, 100_000, 64), 3),
+        ((3, 2, 64), 2),
+        ((8, 100_000, 5), 5),
+        ((None, 100_000, 64), None),  # unknown CPU count: run serially
+        ((1, 4, 64), None),
+    ]
+    for (cpus, workers, n_paths), size in cases:
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        cfg = replace(BASE_CFG, n_paths=n_paths)
+        result = simulate_paths(replace(cfg, n_workers=workers), pol, p)
+        assert sizes == ([] if size is None else [size])
+        assert_same_paths(result, simulate_paths(cfg, pol, p))
+
+
+def test_validate_run_rejects_outputs_beyond_physical_memory(monkeypatch):
+    pol = UnconstrainedBarrier(beta=1.5)
+    p = make_params()
+    with pytest.raises(ConfigError, match="n_paths"):
+        simulate._validate_run(replace(BASE_CFG, n_paths=10**15), pol, p)
+    # 50 bytes per path: 25 for the four columns, held twice while joining.
+    sizes = {"SC_PAGE_SIZE": 50, "SC_PHYS_PAGES": 1000}
+    monkeypatch.setattr(simulate.os, "sysconf", sizes.__getitem__)
+    assert simulate._validate_run(replace(BASE_CFG, n_paths=1000), pol, p) == 8
+    with pytest.raises(ConfigError, match="n_paths"):
+        simulate._validate_run(replace(BASE_CFG, n_paths=1001), pol, p)
 
 
 def test_bitwise_identical_across_worker_counts():
