@@ -23,7 +23,9 @@ path 2j+1 consumes the negated draws of stream j.
 
 Paths run in tiles of at most ``_CHUNK_BUDGET // (2 * _CHUNK_STEPS)`` paths
 (46,875), and a tile steps in chunks of ``_CHUNK_STEPS`` = 128 steps, so one
-tile's draw buffer never exceeds ``_CHUNK_BUDGET`` scalars.  Tiles are the
+tile's two growth-factor buffers never exceed ``_CHUNK_BUDGET`` scalars.  A
+chunk's normals are drawn ``_BLOCK_PATHS`` = 256 paths at a time into a small
+staging buffer and folded into the growth buffers from there.  Tiles are the
 only unit of work: a serial run maps them in order, and a run on several
 workers hands them to a process pool (at most one process per CPU) one at a
 time.  A ruined path's outputs are written when it is ruined; its row is
@@ -62,10 +64,13 @@ __all__ = [
     "summary_lines",
 ]
 
-#: Target scalar count for one chunk of normal draws (memory / call-overhead knob).
+#: Scalar count that bounds one tile's two growth-factor buffers (a memory knob).
 _CHUNK_BUDGET = 12_000_000
 #: Steps per chunk: a tile draws, grows and steps this many steps at a time.
 _CHUNK_STEPS = 128
+#: Paths per draw block: a chunk's normals are drawn and folded into the
+#: growth buffers this many paths at a time, so the draws are read from cache.
+_BLOCK_PATHS = 256
 
 
 @dataclass(frozen=True)
@@ -329,6 +334,12 @@ def _run_tile(
     or tile size.  Under a ruin-stopped policy the working state is compacted
     to the live paths at t = 0 and at every chunk boundary: a ruined path
     neither draws nor steps past the end of its chunk.
+
+    Each chunk draws its normals one block of at most ``_BLOCK_PATHS`` live
+    paths at a time and writes that block's columns of the step-major growth
+    buffers while the draws are in cache; the rest of the growth formula and
+    ``exp`` then run on the whole contiguous buffers.  No buffer holds a
+    whole chunk of draws.
     """
     n = i1 - i0
     dt = cfg.dt
@@ -388,32 +399,36 @@ def _run_tile(
         compact()
 
     rngs = _path_streams(int(cfg.seed), i0 + rows, cfg.antithetic)
-    draws = np.empty((n, _CHUNK_STEPS, 2))
+    block = min(_BLOCK_PATHS, n)
+    stage_buf = np.empty((block, _CHUNK_STEPS, 2))
+    mixed_buf = np.empty(_CHUNK_STEPS * block)
     grow_a_buf = np.empty(_CHUNK_STEPS * n)
     grow_l_buf = np.empty(_CHUNK_STEPS * n)
     k = 0
     while k < n_steps and rows.size:
         m = min(_CHUNK_STEPS, n_steps - k)
         live = rows.size
-        block = draws[:live, :m]
-        for j, rng in enumerate(rngs):
-            rng.standard_normal(out=block[j])
-        if cfg.antithetic:
-            odd = ((i0 + rows) % 2 == 1)[:, None, None]
-            np.negative(block, out=block, where=odd)
-        z1 = block[:, :, 0].T
-        z2 = block[:, :, 1].T
         # grow_a = exp(drift_a + vol_a z1), grow_l = exp(drift_l + vol_l (rho z1 + mix z2)),
         # in place but in the formula's operation order, so every factor keeps its bits.
         grow_a = grow_a_buf[: m * live].reshape(m, live)
         grow_l = grow_l_buf[: m * live].reshape(m, live)
-        np.multiply(z2, mix, out=grow_a)
-        np.multiply(z1, p.rho, out=grow_l)
-        np.add(grow_l, grow_a, out=grow_l)
+        for b0 in range(0, live, block):
+            b1 = min(b0 + block, live)
+            stage = stage_buf[: b1 - b0, :m]
+            for j, rng in enumerate(rngs[b0:b1]):
+                rng.standard_normal(out=stage[j])
+            if cfg.antithetic:
+                odd = ((i0 + rows[b0:b1]) % 2 == 1)[:, None, None]
+                np.negative(stage, out=stage, where=odd)
+            z1 = stage[:, :, 0].T
+            mixed = mixed_buf[: m * (b1 - b0)].reshape(m, b1 - b0)
+            np.multiply(stage[:, :, 1].T, mix, out=mixed)
+            np.multiply(z1, p.rho, out=grow_l[:, b0:b1])
+            np.add(grow_l[:, b0:b1], mixed, out=grow_l[:, b0:b1])
+            np.multiply(z1, vol_a, out=grow_a[:, b0:b1])
         np.multiply(grow_l, vol_l, out=grow_l)
         np.add(grow_l, drift_l, out=grow_l)
         np.exp(grow_l, out=grow_l)
-        np.multiply(z1, vol_a, out=grow_a)
         np.add(grow_a, drift_a, out=grow_a)
         np.exp(grow_a, out=grow_a)
         disc = np.exp(-p.delta * dt * np.arange(k + 1, k + m + 1))
@@ -441,7 +456,7 @@ def simulate_paths(cfg: SimConfig, policy: Policy, p: ModelParams) -> SimResult:
     n = int(cfg.n_paths)
     workers = min(int(cfg.n_workers), n, os.cpu_count() or 1)
     # A tile holds at most _CHUNK_BUDGET // (2 * _CHUNK_STEPS) paths, so its
-    # draw buffer stays within _CHUNK_BUDGET scalars, and at most an even
+    # growth buffers stay within _CHUNK_BUDGET scalars, and at most an even
     # share of the paths, so a small run still spreads over the workers.
     tile = max(1, min(_CHUNK_BUDGET // (2 * _CHUNK_STEPS), -(-n // workers)))
     starts = range(0, n, tile)
@@ -502,12 +517,16 @@ def _fmt(x: float) -> str:
 def write_paths_csv(result: SimResult, fh: IO[str]) -> None:
     """Stream per-path rows: path_index,pv_dividends,pv_injections,ruin_time,censored."""
     fh.write("path_index,pv_dividends,pv_injections,ruin_time,censored\n")
-    censored = result.censored.astype(int)
-    for i in range(result.pv_dividends.size):
-        fh.write(
-            f"{i},{_fmt(result.pv_dividends[i])},{_fmt(result.pv_injections[i])},"
-            f"{_fmt(result.ruin_time[i])},{censored[i]}\n"
-        )
+    columns = (
+        result.pv_dividends.tolist(),
+        result.pv_injections.tolist(),
+        result.ruin_time.tolist(),
+        result.censored.astype(int).tolist(),
+    )
+    fh.writelines(
+        f"{i},{_fmt(pvd)},{_fmt(pvi)},{_fmt(ruin)},{cen}\n"
+        for i, (pvd, pvi, ruin, cen) in enumerate(zip(*columns))
+    )
 
 
 def write_paired_csv(paired: PairedComparison, fh: IO[str]) -> None:
@@ -517,14 +536,20 @@ def write_paired_csv(paired: PairedComparison, fh: IO[str]) -> None:
         "ruin_time_a,ruin_time_b,censored_a,censored_b\n"
     )
     a, b = paired.result_a, paired.result_b
-    cen_a = a.censored.astype(int)
-    cen_b = b.censored.astype(int)
-    for i in range(a.pv_dividends.size):
-        fh.write(
-            f"{i},{_fmt(a.pv_dividends[i])},{_fmt(b.pv_dividends[i])},"
-            f"{_fmt(paired.diff_pv_dividends[i])},{_fmt(a.ruin_time[i])},"
-            f"{_fmt(b.ruin_time[i])},{cen_a[i]},{cen_b[i]}\n"
-        )
+    columns = (
+        a.pv_dividends.tolist(),
+        b.pv_dividends.tolist(),
+        paired.diff_pv_dividends.tolist(),
+        a.ruin_time.tolist(),
+        b.ruin_time.tolist(),
+        a.censored.astype(int).tolist(),
+        b.censored.astype(int).tolist(),
+    )
+    fh.writelines(
+        f"{i},{_fmt(pvd_a)},{_fmt(pvd_b)},{_fmt(diff)},{_fmt(ruin_a)},{_fmt(ruin_b)},"
+        f"{cen_a},{cen_b}\n"
+        for i, (pvd_a, pvd_b, diff, ruin_a, ruin_b, cen_a, cen_b) in enumerate(zip(*columns))
+    )
 
 
 def summary_lines(summary: SimSummary) -> list[str]:

@@ -3,6 +3,7 @@ antithetic pairing, control ordering, and the summary statistics."""
 
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -186,9 +187,14 @@ def test_path_streams_match_jumped_streams():
 def test_compaction_across_chunks_and_tiles_is_bit_identical(monkeypatch):
     # 64-step chunks and a budget of 3 paths x 64 steps give three-path tiles
     # that compact every 64 steps; with an odd tile size the antithetic pairs
-    # (2, 3) and (8, 9) straddle two tiles.  The default runs all 12 paths in
-    # one tile and the 240 steps in two chunks.  On two workers the four
-    # tiles are shared out between the processes.
+    # (2, 3) and (8, 9) straddle two tiles.  Two-path draw blocks split each
+    # tile 2 + 1, so the pairs (4, 5) and (10, 11) straddle two blocks, and
+    # compaction leaves live counts that the block size does not divide.
+    # One-path blocks start at odd offsets too, where a block that read its
+    # antithetic parities from the wrong rows would flip the wrong paths.
+    # The default runs all 12 paths in one tile, one block, and the 240 steps
+    # in two chunks.  On two workers the four tiles are shared out between
+    # the processes.
     p = make_params(kappa=1.05)
     cfg = SimConfig(x1_0=1.3, x2_0=1.0, dt=1 / 12, horizon_T=20.0, n_paths=12, seed=4242)
     cases = [
@@ -204,9 +210,11 @@ def test_compaction_across_chunks_and_tiles_is_bit_identical(monkeypatch):
 
     monkeypatch.setattr(simulate, "_CHUNK_STEPS", 64)
     monkeypatch.setattr(simulate, "_CHUNK_BUDGET", 2 * 64 * 3)
-    for workers in (1, 2):
-        for (c, pol), ref in zip(cases, reference):
-            assert_same_paths(simulate_paths(replace(c, n_workers=workers), pol, p), ref)
+    for block in (2, 1):
+        monkeypatch.setattr(simulate, "_BLOCK_PATHS", block)
+        for workers in (1, 2):
+            for (c, pol), ref in zip(cases, reference):
+                assert_same_paths(simulate_paths(replace(c, n_workers=workers), pol, p), ref)
 
 
 class _CountingStream:
@@ -235,11 +243,13 @@ def test_ruined_paths_stop_drawing(monkeypatch):
     assert sum(drawn) == 0
 
     # A path ruined at step s draws through the end of its chunk, and
-    # nothing after it: at the default 128-step chunk and at 64 steps.
+    # nothing after it: at the default 128-step chunk, at 64 steps, and at
+    # 64 steps in three-path draw blocks.
     cfg = SimConfig(x1_0=1.3, x2_0=1.0, dt=1 / 12, horizon_T=40.0, n_paths=16, seed=11)
     n_steps = 480
-    for chunk in (128, 64):
+    for chunk, block in ((128, simulate._BLOCK_PATHS), (64, simulate._BLOCK_PATHS), (64, 3)):
         monkeypatch.setattr(simulate, "_CHUNK_STEPS", chunk)
+        monkeypatch.setattr(simulate, "_BLOCK_PATHS", block)
         drawn.clear()
         result = simulate_paths(cfg, UnconstrainedBarrier(beta=1.5), p)
         ruin_step = np.rint(result.ruin_time / cfg.dt)
@@ -248,6 +258,21 @@ def test_ruined_paths_stop_drawing(monkeypatch):
         )
         assert sum(drawn) == 2 * steps_drawn.sum()
         assert sum(drawn) < 2 * cfg.n_paths * n_steps
+
+
+def test_tile_holds_no_chunk_of_draws():
+    # The two growth buffers take 2 * _CHUNK_STEPS * n scalars; a third buffer
+    # of that size (a whole chunk of draws) would push the peak past the bound.
+    p = make_params(kappa=1.05)
+    n = 4000
+    cfg = SimConfig(x1_0=1.5, x2_0=1.0, dt=1 / 50, horizon_T=4.0, n_paths=n, seed=3)
+    tracemalloc.start()
+    try:
+        simulate._run_tile(p, DoubleBarrier(beta=1.8, gamma=1.0), cfg, 0, n, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * simulate._CHUNK_STEPS * n * 8
 
 
 def test_ratio_recovering_after_ruin_earns_nothing():
