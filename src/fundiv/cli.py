@@ -6,7 +6,8 @@ values, and the effective parameter set is echoed as ``# key = value``
 comment lines at the top of every output for provenance.
 
 Exit codes: 0 success, 1 validation error, 2 domain error (including failed
-verification), 3 numerical failure, 4 I/O error.
+verification), 3 numerical failure (including a closed form that overflows a
+float), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -74,6 +75,25 @@ def _open_output(target: str | None):
             yield fh
 
 
+def _value_fn(
+    kind: str, p: ModelParams, beta: float | None = None, gamma: float | None = None
+) -> closed_form.ClosedFormValue:
+    """Value function of a problem (or policy) at barrier ``beta``, the optimum if unset.
+
+    The ruin-stopped problem pays at beta0*, the solvency-constrained one at
+    beta1* = max(beta0*, alpha1); the injection problem (policy ``double``)
+    pays at beta2* and injects at ``gamma``, alpha0 if unset.
+    """
+    if kind in ("injection", "double"):
+        beta = injections.optimal_barrier_beta2(p) if beta is None else beta
+        return injections.double_barrier_value(beta, p.alpha0 if gamma is None else gamma, p)
+    if beta is None and kind == "solvency":
+        beta = closed_form.constrained_barrier_beta1(p)
+    elif beta is None:
+        beta = closed_form.optimal_barrier_beta0(p)
+    return closed_form.closed_form_value(beta, p)
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -81,27 +101,21 @@ def _open_output(target: str | None):
 def cmd_barriers(args: argparse.Namespace) -> int:
     p = _gather_params(args)
     e = closed_form.exponents(p)
-    beta0 = closed_form.optimal_barrier_beta0(p)
+    optima = {"0": _value_fn("unconstrained", p)}
+    if p.alpha1 is not None:
+        optima["1"] = _value_fn("solvency", p)
+    if p.kappa is not None:
+        optima["2"] = _value_fn("injection", p)
     lines = [
         f"sigma_tilde_sq = {_fmt(e.sigma_tilde_sq)}",
         f"zeta1 = {_fmt(e.zeta1)}",
         f"zeta2 = {_fmt(e.zeta2)}",
-        f"beta0_star = {_fmt(beta0)}",
-        f"value_at_beta0 = {_fmt(closed_form.closed_form_value(beta0, p).value_at_barrier())}",
     ]
-    if p.alpha1 is not None:
-        beta1 = closed_form.constrained_barrier_beta1(p)
-        lines.append(f"beta1_star = {_fmt(beta1)}")
-        lines.append(
-            f"value_at_beta1 = {_fmt(closed_form.closed_form_value(beta1, p).value_at_barrier())}"
-        )
-    if p.kappa is not None:
-        beta2 = injections.optimal_barrier_beta2(p)
-        lines.append(f"beta2_star = {_fmt(beta2)}")
-        lines.append(f"gamma_star = {_fmt(p.alpha0)}")
-        lines.append(
-            f"value_at_beta2 = {_fmt(injections.value_injections(beta2, 1.0, beta2, p.alpha0, p))}"
-        )
+    for star, fn in optima.items():
+        lines.append(f"beta{star}_star = {_fmt(fn.beta)}")
+        if fn.kappa is not None:  # only the injection problem has a ray to report
+            lines.append(f"gamma_star = {_fmt(fn.gamma)}")
+        lines.append(f"value_at_beta{star} = {_fmt(fn.value_at_barrier())}")
     with _open_output(args.output) as fh:
         _echo_params(p, fh)
         fh.write("\n".join(lines) + "\n")
@@ -114,26 +128,16 @@ def cmd_value(args: argparse.Namespace) -> int:
     if not scale > 0.0:
         raise DomainError(f"--scale {scale!r} must be positive")
     x1, x2 = args.x1 * scale, args.x2 * scale
-    gamma = None
-    if args.problem == "unconstrained":
-        beta = args.beta if args.beta is not None else closed_form.optimal_barrier_beta0(p)
-        fn = closed_form.closed_form_value(beta, p)
-    elif args.problem == "solvency":
-        beta = args.beta if args.beta is not None else closed_form.constrained_barrier_beta1(p)
-        fn = closed_form.closed_form_value(beta, p)
-    else:  # injection
-        gamma = args.gamma if args.gamma is not None else p.alpha0
-        beta = args.beta if args.beta is not None else injections.optimal_barrier_beta2(p)
-        fn = injections.double_barrier_value(beta, gamma, p)
+    fn = _value_fn(args.problem, p, args.beta, args.gamma)
     with np.errstate(over="ignore", invalid="ignore"):
         value = fn.evaluate(x1, x2)
         d1, d2 = fn.partials(x1, x2)[:2]
     if not np.isfinite([value, d1, d2]).all():
         raise NumericalError(f"value {value!r} or its slopes overflow at ({x1!r}, {x2!r})")
     ratio = x1 / x2
-    if ratio > beta:
+    if ratio > fn.beta:
         branch = "above-barrier"
-    elif gamma is not None and ratio < gamma:
+    elif ratio < fn.gamma:  # evaluate rejects ratios below alpha0, so gamma is a real ray
         branch = "below-injection"
     else:
         branch = "continuation"
@@ -141,10 +145,10 @@ def cmd_value(args: argparse.Namespace) -> int:
         f"problem = {args.problem}",
         f"x1 = {_fmt(x1)}",
         f"x2 = {_fmt(x2)}",
-        f"beta = {_fmt(beta)}",
+        f"beta = {_fmt(fn.beta)}",
     ]
-    if gamma is not None:
-        lines.append(f"gamma = {_fmt(gamma)}")
+    if fn.kappa is not None:
+        lines.append(f"gamma = {_fmt(fn.gamma)}")
     lines += [
         f"value = {_fmt(value)}",
         f"branch = {branch}",
@@ -158,21 +162,15 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 
 def _build_policy(args: argparse.Namespace, p: ModelParams, suffix: str = ""):
+    """The policy named by ``--policy<suffix>`` and its closed-form value at the start point."""
     kind = getattr(args, "policy" + suffix)
-    beta_flag = getattr(args, "beta" + suffix)
-    if kind == "unconstrained":
-        beta = beta_flag if beta_flag is not None else closed_form.optimal_barrier_beta0(p)
-        return simulate.UnconstrainedBarrier(beta=beta), closed_form.value_unconstrained(
-            args.x1_0, args.x2_0, beta, p
-        )
-    if kind == "solvency":
-        beta = beta_flag if beta_flag is not None else closed_form.constrained_barrier_beta1(p)
-        policy = simulate.SolvencyConstrained(beta=beta, alpha1=p.alpha1)
-        return policy, closed_form.value_unconstrained(args.x1_0, args.x2_0, beta, p)
-    gamma = args.gamma if args.gamma is not None else p.alpha0
-    beta = beta_flag if beta_flag is not None else injections.optimal_barrier_beta2(p)
-    policy = simulate.DoubleBarrier(beta=beta, gamma=gamma)
-    return policy, injections.value_injections(args.x1_0, args.x2_0, beta, gamma, p)
+    fn = _value_fn(kind, p, getattr(args, "beta" + suffix), args.gamma)
+    policy = {
+        "unconstrained": lambda: simulate.UnconstrainedBarrier(beta=fn.beta),
+        "solvency": lambda: simulate.SolvencyConstrained(beta=fn.beta, alpha1=p.alpha1),
+        "double": lambda: simulate.DoubleBarrier(beta=fn.beta, gamma=fn.gamma),
+    }[kind]()
+    return policy, fn.evaluate(args.x1_0, args.x2_0)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -210,23 +208,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 0
     policy, cf_value = _build_policy(args, p)
     result = simulate.simulate_paths(cfg, policy, p)
-    mc_mean = (
-        result.summary.mean_net_value
-        if isinstance(policy, simulate.DoubleBarrier)
-        else result.summary.mean_pv_dividends
-    )
-    mc_se = (
-        result.summary.se_net_value
-        if isinstance(policy, simulate.DoubleBarrier)
-        else result.summary.se_pv_dividends
-    )
-    z = (mc_mean - cf_value) / mc_se if mc_se > 0.0 else float("nan")
+    s = result.summary  # without injections the net fields equal the dividend ones bit for bit
+    z = (s.mean_net_value - cf_value) / s.se_net_value if s.se_net_value > 0.0 else float("nan")
     with _open_output(args.output) as fh:
         _echo_params(p, fh)
         simulate.write_paths_csv(result, fh)
         fh.write("\n")
         fh.write(f"policy = {policy!r}\n")
-        for line in simulate.summary_lines(result.summary):
+        for line in simulate.summary_lines(s):
             fh.write(line + "\n")
         fh.write(f"closed_form_value = {_fmt(cf_value)}\n")
         fh.write(f"z_score_vs_closed_form = {_fmt(z)}\n")
@@ -286,23 +275,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     p = _gather_params(args)
-    problems = ("solvency", "injection") if args.problem == "both" else (args.problem,)
+    checks = {"solvency": verify.check_solvency_lemma, "injection": verify.check_injection_lemma}
+    problems = tuple(checks) if args.problem == "both" else (args.problem,)
     if args.barrier_override is not None and len(problems) > 1:
         raise ConfigError("--barrier-override needs an explicit --problem")
-    reports = []
-    for problem in problems:
-        if problem == "solvency":
-            reports.append(
-                verify.check_solvency_lemma(
-                    p, barrier=args.barrier_override, mode=args.mode
-                )
-            )
-        else:
-            reports.append(
-                verify.check_injection_lemma(
-                    p, barrier=args.barrier_override, mode=args.mode
-                )
-            )
+    reports = [
+        checks[problem](p, barrier=args.barrier_override, mode=args.mode) for problem in problems
+    ]
     with _open_output(args.output) as fh:
         _echo_params(p, fh)
         fh.write("\n\n".join(r.to_text() for r in reports) + "\n")
@@ -409,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, SeamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -473,7 +473,7 @@ def simulate_paths(cfg: SimConfig, policy: Policy, p: ModelParams) -> SimResult:
         pvi,
         ruin_time,
         censored,
-        kappa=p.kappa if isinstance(policy, DoubleBarrier) else None,
+        kappa=p.kappa,
         horizon_T=cfg.horizon_T,
     )
     return SimResult(

@@ -7,8 +7,16 @@ import sys
 
 import pytest
 
+from fundiv import (
+    DoubleBarrier,
+    SolvencyConstrained,
+    constrained_barrier_beta1,
+    optimal_barrier_beta2,
+    value_injections,
+    value_unconstrained,
+)
 from fundiv.cli import main
-from helpers import P1
+from helpers import P1, make_params
 
 P1_BETA0 = 3.406023481382157
 P1_VALUE_2_1 = 1.134040332600657
@@ -156,6 +164,18 @@ def test_value_overflow_exits_3(capsys, p1_config):
     assert err.startswith("error:") and "Warning" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("value", "--problem", "injection", "--beta", "1e200", "--x1", "2", "--x2", "1"),
+    ("verify", "--problem", "injection", "--barrier-override", "1e200"),
+])
+def test_closed_form_overflow_exits_3(capsys, p1_config, argv):
+    # t^(zeta2 - 1) overflows a float in the band weights of a 1e200 barrier.
+    rc, out, err = run_cli(capsys, argv[0], "--config", p1_config, "--kappa", "1.05", *argv[1:])
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_value_injection_needs_kappa(capsys, p1_config):
     rc, _, err = run_cli(
         capsys, "value", "--config", p1_config,
@@ -180,6 +200,39 @@ def test_simulate_csv_summary_and_z_score(capsys, p1_config):
     assert float(values["closed_form_value"]) == pytest.approx(P1_VALUE_2_1, rel=1e-12)
     assert "z_score_vs_closed_form" in values
     assert values["policy"].startswith("UnconstrainedBarrier(")
+
+
+def test_simulate_double_and_solvency_targets_and_z_scores(capsys, p1_config):
+    p = make_params(kappa=1.05, alpha1=1.5)
+    geometry = ("--x1_0", "2.0", "--x2_0", "1.0", "--dt", "0.25", "--horizon_T", "4.0",
+                "--n_paths", "200", "--seed", "3")
+    beta2, beta1 = optimal_barrier_beta2(p), constrained_barrier_beta1(p)
+    targets = {
+        ("--policy", "double", "--gamma", "1.1"): (
+            DoubleBarrier(beta=beta2, gamma=1.1),
+            value_injections(2.0, 1.0, beta2, 1.1, p),
+        ),
+        ("--policy", "solvency", "--alpha1", "1.5"): (
+            SolvencyConstrained(beta=beta1, alpha1=1.5),
+            value_unconstrained(2.0, 1.0, beta1, p),
+        ),
+    }
+    runs = {}
+    for policy, (simulated, target) in targets.items():
+        rc, out, _ = run_cli(
+            capsys, "simulate", "--config", p1_config, "--kappa", "1.05", *policy, *geometry
+        )
+        assert rc == 0
+        values = runs[policy[1]] = kv(out)
+        assert values["policy"] == repr(simulated)
+        cf = float(values["closed_form_value"])
+        assert cf == target
+        mean, se = float(values["mean_net_value"]), float(values["se_net_value"])
+        assert float(values["z_score_vs_closed_form"]) == (mean - cf) / se
+    # The double barrier injects here, so its z-score must read the net value,
+    # which differs from the dividend mean; the solvency run never injects.
+    assert runs["double"]["mean_net_value"] != runs["double"]["mean_pv_dividends"]
+    assert runs["solvency"]["mean_net_value"] == runs["solvency"]["mean_pv_dividends"]
 
 
 def test_simulate_config_errors_exit_1(capsys, p1_config):
