@@ -34,7 +34,6 @@ from .params import (
     ModelParams,
     from_mapping,
     read_params_file,
-    validate,
 )
 
 _ALL_FIELDS = REQUIRED_FIELDS + OPTIONAL_FIELDS
@@ -56,7 +55,7 @@ def _gather_params(args: argparse.Namespace) -> ModelParams:
         raise ParameterError(
             "parameters", None, "supply --config and/or individual parameter flags"
         )
-    return validate(from_mapping(values))
+    return from_mapping(values)
 
 
 def _echo_params(p: ModelParams, fh) -> None:
@@ -124,6 +123,8 @@ def cmd_barriers(args: argparse.Namespace) -> int:
 
 def cmd_value(args: argparse.Namespace) -> int:
     p = _gather_params(args)
+    if args.gamma is not None and args.problem != "injection":
+        raise ConfigError(f"--gamma has no injection ray to set for --problem {args.problem}")
     scale = args.scale if args.scale is not None else 1.0
     if not scale > 0.0:
         raise DomainError(f"--scale {scale!r} must be positive")
@@ -185,9 +186,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         antithetic=args.antithetic,
         n_workers=args.n_workers,
     )
+    if args.paired != (args.policy_b is not None) or (args.beta_b is not None and not args.paired):
+        raise ConfigError("--policy_b and --beta_b need --paired, and --paired needs --policy_b")
+    if args.gamma is not None and "double" not in (args.policy, args.policy_b):
+        raise ConfigError("--gamma needs a double policy")
     if args.paired:
-        if args.policy_b is None:
-            raise ConfigError("--paired needs --policy_b")
         policy_a, cf_a = _build_policy(args, p)
         policy_b, cf_b = _build_policy(args, p, suffix="_b")
         paired = simulate.paired_compare(cfg, policy_a, policy_b, p)

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .params import ModelParams, require_alpha1, validate
+from .errors import DomainError, NumericalError
+from .params import ModelParams, require_alpha1
 
 __all__ = [
     "Exponents",
@@ -73,14 +73,13 @@ class Exponents:
 
 
 def exponents(p: ModelParams) -> Exponents:
-    """Solve the characteristic quadratic for a validated parameter set.
+    """Solve the characteristic quadratic; ``p`` holds the invariants since construction.
 
     Uses the cancellation-free quadratic formula (larger-magnitude root from
     the discriminant, the other from the product of roots) so that both roots
     carry full relative precision; the two roots straddle [0, 1] because the
     quadratic is negative at 0 and at 1.
     """
-    validate(p)
     s2 = p.sigma_A * p.sigma_A + p.sigma_L * p.sigma_L - 2.0 * p.rho * p.sigma_A * p.sigma_L
     a = 0.5 * s2
     b = p.mu_A - p.mu_L - 0.5 * s2
@@ -178,7 +177,10 @@ def closed_form_value(beta: float, p: ModelParams) -> ClosedFormValue:
     if not beta >= p.alpha0:
         raise DomainError(f"barrier beta = {beta!r} must be >= alpha0 = {p.alpha0!r}")
     w = beta / p.alpha0
-    a = p.alpha0 / (e.zeta1 * _rpow(w, e.zeta1 - 1.0) - e.zeta2 * _rpow(w, e.zeta2 - 1.0))
+    try:
+        a = p.alpha0 / (e.zeta1 * _rpow(w, e.zeta1 - 1.0) - e.zeta2 * _rpow(w, e.zeta2 - 1.0))
+    except OverflowError:
+        raise NumericalError(f"band weights overflow at beta = {beta!r}") from None
     return ClosedFormValue(
         beta=beta, gamma=p.alpha0, alpha0=p.alpha0, kappa=None, exponents=e, A=a, B=-a
     )
@@ -206,7 +208,6 @@ def constrained_barrier_beta1(p: ModelParams) -> float:
     The floor only binds when it exceeds the free optimum:
     beta1* = max(beta0*, alpha1).
     """
-    validate(p)
     alpha1 = require_alpha1(p)
     return max(optimal_barrier_beta0(p), alpha1)
 

@@ -35,8 +35,8 @@ import math
 from dataclasses import replace
 
 from .closed_form import ClosedFormValue, _rpow, exponents
-from .errors import BracketFailure, DomainError, MonotonicityError, NoBreakeven
-from .params import ModelParams, require_kappa, validate
+from .errors import BracketFailure, DomainError, MonotonicityError, NoBreakeven, NumericalError
+from .params import ModelParams, require_kappa
 
 __all__ = [
     "coefficients",
@@ -74,9 +74,12 @@ def double_barrier_value(beta: float, gamma: float, p: ModelParams) -> ClosedFor
     _check_band(beta, gamma, p)
     z1, z2 = e.zeta1, e.zeta2
     t = beta / gamma
-    a = gamma * (1.0 - kappa * _rpow(t, z2 - 1.0)) / (
-        z1 * _rpow(t, z1 - 1.0) * (1.0 - _rpow(t, z2 - z1))
-    )
+    try:
+        a = gamma * (1.0 - kappa * _rpow(t, z2 - 1.0)) / (
+            z1 * _rpow(t, z1 - 1.0) * (1.0 - _rpow(t, z2 - z1))
+        )
+    except OverflowError:
+        raise NumericalError(f"band weights overflow at beta = {beta!r}, gamma = {gamma!r}") from None
     b = (kappa * gamma - z1 * a) / z2
     return ClosedFormValue(
         beta=beta, gamma=gamma, alpha0=p.alpha0, kappa=kappa, exponents=e, A=a, B=b
@@ -104,7 +107,6 @@ def psi(beta: float, gamma: float, p: ModelParams) -> float:
     Positive at beta = gamma (for kappa > 1), strictly decreasing, negative
     for large beta.  Each power is evaluated in log space.
     """
-    validate(p)
     kappa = require_kappa(p)
     if not gamma >= p.alpha0:
         raise DomainError(f"gamma = {gamma!r} must be >= alpha0 = {p.alpha0!r}")
@@ -127,7 +129,6 @@ def optimal_barrier_beta2(p: ModelParams) -> float:
     an absolute tolerance of 1e-12 * alpha0, or to adjacent floats where
     their spacing is wider.
     """
-    validate(p)
     require_kappa(p)
     gamma = p.alpha0
     lo = p.alpha0 * (1.0 + 1e-12)
@@ -167,7 +168,6 @@ def kappa_from_barrier(beta: float, gamma: float, p: ModelParams) -> float:
 
     ``p.kappa`` itself is ignored; only the market parameters enter.
     """
-    validate(p)
     _check_band(beta, gamma, p)
     e = exponents(p)
     z1, z2 = e.zeta1, e.zeta2
@@ -194,7 +194,6 @@ def breakeven_kappa(
     violation raises :class:`MonotonicityError` rather than guessing at a
     bracket.  ``p.kappa`` is ignored.
     """
-    validate(p)
     f_lo = _value_at_floor(p, kappa_lo)
     f_hi = _value_at_floor(p, kappa_cap)
     if not f_lo > 0.0:

@@ -10,10 +10,10 @@ funding ratio X1/X2 falls to ``alpha0``, an optional stricter level ``alpha1``
 restricts when dividends may be paid, and ``kappa`` is the optional
 proportional cost of injecting capital.
 
-Validation rejects boundary values instead of clamping them: the model
-degenerates at ``mu_A == mu_L`` (immediate liquidation is optimal) and the
-value function diverges as ``delta`` approaches ``mu_A``, so callers who want
-limiting behaviour should sweep toward the boundary explicitly.
+Every :class:`ModelParams` is validated when built, ``dataclasses.replace``
+included.  Boundary values are rejected, not clamped: the model degenerates at
+``mu_A == mu_L`` (immediate liquidation is optimal) and the value diverges as
+``delta`` approaches ``mu_A``, so sweep toward a boundary explicitly.
 """
 
 from __future__ import annotations
@@ -60,9 +60,12 @@ class ModelParams:
     alpha1: float | None = None
     kappa: float | None = None
 
+    def __post_init__(self) -> None:
+        validate(self)
+
 
 def validate(raw: ModelParams) -> ModelParams:
-    """Check every model invariant and return the parameters unchanged.
+    """Check every model invariant, as construction does, and return the parameters unchanged.
 
     Raises a distinct :class:`~fundiv.errors.ParameterError` subclass per
     violated invariant, naming the offending field and its bound.  NaN values
@@ -104,10 +107,10 @@ def require_kappa(p: ModelParams, context: str = "the capital-injection problem"
 
 
 def from_mapping(values: Mapping[str, float]) -> ModelParams:
-    """Build (unvalidated) :class:`ModelParams` from a flat mapping.
+    """Build validated :class:`ModelParams` from a flat mapping.
 
     Keys must be exactly the dataclass field names.  Missing required fields
-    raise :class:`MissingParameter`; unknown keys raise
+    raise :class:`MissingParameter`; unknown keys and violated invariants raise
     :class:`~fundiv.errors.ParameterError`.
     """
     known = set(REQUIRED_FIELDS) | set(OPTIONAL_FIELDS)

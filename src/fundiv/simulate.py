@@ -45,7 +45,7 @@ from typing import IO, Union
 import numpy as np
 
 from .errors import ConfigError, EmptyInput
-from .params import ModelParams, require_kappa, validate
+from .params import ModelParams, require_kappa
 
 __all__ = [
     "UnconstrainedBarrier",
@@ -238,7 +238,6 @@ def _is_int(value) -> bool:
 
 
 def _validate_run(cfg: SimConfig, policy: Policy, p: ModelParams) -> int:
-    validate(p)
     if not 0.0 < cfg.dt < math.inf:
         raise ConfigError(f"dt = {cfg.dt!r} must be positive and finite")
     if not 0.0 < cfg.horizon_T < math.inf:

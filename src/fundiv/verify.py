@@ -34,7 +34,7 @@ import numpy as np
 from .closed_form import closed_form_value, constrained_barrier_beta1, optimal_barrier_beta0
 from .errors import DomainError, SeamError
 from .injections import double_barrier_value, optimal_barrier_beta2
-from .params import ModelParams, require_alpha1, require_kappa, validate
+from .params import ModelParams, require_alpha1, require_kappa
 
 __all__ = [
     "GridSpec",
@@ -63,8 +63,6 @@ class GridSpec:
     ratio_lo: float
     ratio_hi: float
     n_points: int
-    spacing: str = "log"
-    x2: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ class VerificationReport:
             f"barrier = {self.barrier:.17g}",
             f"mode = {self.mode}",
             f"grid = [{self.grid_spec.ratio_lo:.17g}, {self.grid_spec.ratio_hi:.17g}] "
-            f"x {self.grid_spec.n_points} ({self.grid_spec.spacing})",
+            f"x {self.grid_spec.n_points} (log)",
         ]
         for c in self.condition_results:
             status = "PASS" if c.passed else "FAIL"
@@ -165,7 +163,6 @@ def generator_apply(
     (default: ``fn.seam_ratios`` when present) are funding ratios with kinks;
     a stencil straddling one raises :class:`SeamError`.
     """
-    validate(p)
     mode = _normalize_mode(mode)
     if not hasattr(fn, "partials"):
         raise TypeError(f"{fn!r} is not a value object with exact partials")
@@ -346,7 +343,6 @@ def check_solvency_lemma(
     5. generator-zero-band  -- (A - delta)H = 0 strictly inside (alpha0, barrier)
     6. generator-nonpositive-above -- (A - delta)H <= 0 for r > alpha1
     """
-    validate(p)
     mode = _normalize_mode(mode)
     alpha1 = require_alpha1(p)
     level = constrained_barrier_beta1(p) if barrier is None else float(barrier)
@@ -388,7 +384,6 @@ def check_injection_lemma(
     4. slope-corridor -- 1 <= dH/dx1 <= kappa
     5. bounded-dx2    -- the x2-partial is finite on the compact grid
     """
-    validate(p)
     mode = _normalize_mode(mode)
     kappa = require_kappa(p)
     level = optimal_barrier_beta2(p) if barrier is None else float(barrier)
@@ -422,7 +417,6 @@ def check_smooth_fit(p: ModelParams, problem: str = "solvency") -> float | None:
     (alpha1 > beta0*) the barrier sits at the constraint, smooth fit does not
     apply, and ``None`` is returned.
     """
-    validate(p)
     if problem == "solvency":
         beta0 = optimal_barrier_beta0(p)
         if p.alpha1 is not None and p.alpha1 > beta0:

@@ -174,6 +174,7 @@ def test_closed_form_overflow_exits_3(capsys, p1_config, argv):
     assert rc == 3
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    assert "1e+200" in err  # names the barrier whose band weights overflowed
 
 
 def test_value_injection_needs_kappa(capsys, p1_config):
@@ -253,6 +254,28 @@ def test_simulate_config_errors_exit_1(capsys, p1_config):
     )
     assert rc == 1
     assert "policy_b" in err
+
+
+SIM_RUN = ("--x1_0", "2.0", "--x2_0", "1.0", "--dt", "0.25", "--horizon_T", "1.0",
+           "--n_paths", "4", "--seed", "4")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("simulate", "--policy", "unconstrained", "--policy_b", "double", *SIM_RUN), "--policy_b"),
+    (("simulate", "--policy", "unconstrained", "--beta_b", "2.5", *SIM_RUN), "--beta_b"),
+    (("simulate", "--policy", "unconstrained", "--gamma", "1.1", *SIM_RUN), "--gamma"),
+    (("simulate", "--policy", "solvency", "--alpha1", "1.5", "--gamma", "1.1", "--paired",
+      "--policy_b", "unconstrained", *SIM_RUN), "--gamma"),
+    (("value", "--problem", "unconstrained", "--gamma", "1.1", "--x1", "2", "--x2", "1"),
+     "--gamma"),
+    (("value", "--problem", "solvency", "--alpha1", "1.5", "--gamma", "1.1", "--x1", "2",
+      "--x2", "1"), "--gamma"),
+])
+def test_flags_the_command_would_ignore_exit_1(capsys, p1_config, argv, flag):
+    rc, out, err = run_cli(capsys, argv[0], "--config", p1_config, "--kappa", "1.05", *argv[1:])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and flag in err
 
 
 def test_simulate_paired_output(capsys, p1_config):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fundiv import (
     DomainError,
+    NumericalError,
     closed_form_value,
     constrained_barrier_beta1,
     double_barrier_value,
@@ -92,6 +93,12 @@ def test_value_below_ruin_level_rejected():
         cf.evaluate(0.5, 1.0)
     with pytest.raises(DomainError):
         closed_form_value(0.7, make_params())  # barrier below alpha0
+
+
+def test_overflowing_band_weight_names_the_barrier():
+    # zeta2 = 3.30 at delta = 0.5, so (1e300)^(zeta2 - 1) is beyond float range.
+    with pytest.raises(NumericalError, match=r"beta = 1e\+300"):
+        closed_form_value(1e300, make_params(delta=0.5))
 
 
 def test_slope_one_at_any_barrier():

@@ -11,6 +11,7 @@ import pytest
 from fundiv import (
     DomainError,
     NoBreakeven,
+    NumericalError,
     breakeven_kappa,
     coefficients,
     double_barrier_value,
@@ -116,6 +117,16 @@ def test_injection_band_requires_valid_geometry():
         double_barrier_value(P1_BETA2, 0.8, p)  # gamma below alpha0
     with pytest.raises(DomainError):
         double_barrier_value(1.0, 1.0, p)  # beta not above gamma
+
+
+def test_overflowing_band_weights_name_the_barrier():
+    p = make_params(kappa=1.05)
+    with pytest.raises(NumericalError, match=r"beta = 1e\+200, gamma = 1\.0"):
+        double_barrier_value(1e200, 1.0, p)
+    # kappa_from_barrier keeps the bare OverflowError, which callers catch to
+    # tell a cost beyond float range from a failed computation.
+    with pytest.raises(OverflowError):
+        kappa_from_barrier(1e200, 1.0, p)
 
 
 def test_psi_positive_at_floor_and_single_crossing():

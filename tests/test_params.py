@@ -1,6 +1,7 @@
 """Parameter container, validation order, and config-file parsing."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -37,6 +38,15 @@ def test_optional_fields_accepted():
     assert p.kappa == 1.05
 
 
+# Every way to build a ModelParams runs the same checks: the config path,
+# a direct constructor call, and dataclasses.replace of a valid set.
+BUILDERS = {
+    "from_mapping": make_params,
+    "constructor": lambda **kw: ModelParams(**{**P1, **kw}),
+    "replace": lambda **kw: replace(make_params(alpha1=1.2, kappa=1.05), **kw),
+}
+
+
 @pytest.mark.parametrize(
     "field,value,exc",
     [
@@ -59,17 +69,22 @@ def test_optional_fields_accepted():
     ],
 )
 def test_each_constraint_rejected(field, value, exc):
-    with pytest.raises(exc) as details:
-        make_params(**{field: value})
-    assert details.value.field == field
-    assert details.value.value == value
+    for how, build in BUILDERS.items():
+        with pytest.raises(exc) as details:
+            build(**{field: value})
+        assert type(details.value) is exc, how
+        assert details.value.field == field, how
+        assert details.value.value == value, how
 
 
 @pytest.mark.parametrize("field", ["sigma_A", "sigma_L", "rho", "mu_A", "delta", "alpha0"])
 def test_nan_rejected_everywhere(field):
     # NaN must fail the check it first reaches, never slip through a `<`.
-    with pytest.raises(ParameterError):
-        make_params(**{field: math.nan})
+    for how, build in BUILDERS.items():
+        with pytest.raises(ParameterError) as details:
+            build(**{field: math.nan})
+        assert details.value.field == field, how
+        assert math.isnan(details.value.value), how
 
 
 def test_missing_required_field():
