@@ -1,131 +1,22 @@
 """Optimal dividend barriers on the funding ratio of correlated GBM assets
 and liabilities, with closed-form value functions, verification-lemma checks,
 and a deterministic Monte Carlo engine.
+
+The package exports exactly the names in each module's ``__all__``.
 """
 
-from .closed_form import (
-    ClosedFormValue,
-    Exponents,
-    closed_form_value,
-    constrained_barrier_beta1,
-    exponents,
-    optimal_barrier_beta0,
-    value_constrained,
-    value_unconstrained,
-)
-from .errors import (
-    BracketFailure,
-    ConfigError,
-    CorrelationOutOfRange,
-    DiscountTooLow,
-    DomainError,
-    EmptyInput,
-    FundivError,
-    InjectionCostTooLow,
-    MissingParameter,
-    MonotonicityError,
-    NoBreakeven,
-    NumericalError,
-    ParameterError,
-    ProfitabilityViolated,
-    RuinLevelNotPositive,
-    SeamError,
-    SolvencyLevelTooLow,
-    VolatilityNotPositive,
-)
-from .injections import (
-    breakeven_kappa,
-    coefficients,
-    double_barrier_value,
-    kappa_from_barrier,
-    optimal_barrier_beta2,
-    psi,
-    value_injections,
-)
-from .params import ModelParams, from_mapping, read_params_file, validate
-from .simulate import (
-    DoubleBarrier,
-    PairedComparison,
-    SimConfig,
-    SimResult,
-    SimSummary,
-    SolvencyConstrained,
-    UnconstrainedBarrier,
-    paired_compare,
-    simulate_paths,
-    summarize,
-    summary_lines,
-    write_paired_csv,
-    write_paths_csv,
-)
-from .verify import (
-    ConditionResult,
-    GridSpec,
-    VerificationReport,
-    check_injection_lemma,
-    check_smooth_fit,
-    check_solvency_lemma,
-    generator_apply,
-)
+from . import closed_form, errors, injections, params, simulate, verify
+from .closed_form import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .injections import *  # noqa: F403
+from .params import *  # noqa: F403
+from .simulate import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketFailure",
-    "ClosedFormValue",
-    "ConditionResult",
-    "ConfigError",
-    "CorrelationOutOfRange",
-    "DiscountTooLow",
-    "DomainError",
-    "DoubleBarrier",
-    "EmptyInput",
-    "Exponents",
-    "FundivError",
-    "GridSpec",
-    "InjectionCostTooLow",
-    "MissingParameter",
-    "ModelParams",
-    "MonotonicityError",
-    "NoBreakeven",
-    "NumericalError",
-    "PairedComparison",
-    "ParameterError",
-    "ProfitabilityViolated",
-    "RuinLevelNotPositive",
-    "SeamError",
-    "SimConfig",
-    "SimResult",
-    "SimSummary",
-    "SolvencyConstrained",
-    "SolvencyLevelTooLow",
-    "UnconstrainedBarrier",
-    "VerificationReport",
-    "VolatilityNotPositive",
-    "breakeven_kappa",
-    "check_injection_lemma",
-    "check_smooth_fit",
-    "check_solvency_lemma",
-    "closed_form_value",
-    "coefficients",
-    "constrained_barrier_beta1",
-    "double_barrier_value",
-    "exponents",
-    "from_mapping",
-    "generator_apply",
-    "kappa_from_barrier",
-    "optimal_barrier_beta0",
-    "optimal_barrier_beta2",
-    "paired_compare",
-    "psi",
-    "read_params_file",
-    "simulate_paths",
-    "summarize",
-    "summary_lines",
-    "validate",
-    "value_constrained",
-    "value_injections",
-    "value_unconstrained",
-    "write_paired_csv",
-    "write_paths_csv",
+    name
+    for module in (closed_form, errors, injections, params, simulate, verify)
+    for name in module.__all__
 ]

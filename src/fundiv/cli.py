@@ -38,6 +38,23 @@ from .params import (
 
 _ALL_FIELDS = REQUIRED_FIELDS + OPTIONAL_FIELDS
 
+#: The flags each sweep kind reads, with their defaults; a string names a default that
+#: ``cmd_sweep`` derives from the parameters.
+_SWEEP_FLAGS = {
+    "beta2-vs-kappa": {"kappa_min": 1.01, "kappa_max": 3.0, "steps": 21},
+    "value-surface": {
+        "ratio": "alpha0", "gamma_min": "alpha0", "gamma_max": "beta2*", "gamma_steps": 11,
+        "beta_min": "alpha0", "beta_max": "2 beta2*", "beta_steps": 21,
+    },
+    "breakeven": {"sigma_A_min": "0.6 sigma_A", "sigma_A_max": "1.4 sigma_A", "steps": 21},
+}
+#: Each sweep flag and the kinds that read it.
+_SWEEP_KINDS_OF = {
+    flag: [kind for kind, owned in _SWEEP_FLAGS.items() if flag in owned]
+    for flags in _SWEEP_FLAGS.values()
+    for flag in flags
+}
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -227,9 +244,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     p = _gather_params(args)
-    for flag in ("steps", "gamma_steps", "beta_steps"):
-        if getattr(args, flag) < 0:
-            raise ConfigError(f"--{flag} {getattr(args, flag)} must not be negative")
+    owned = _SWEEP_FLAGS[args.kind]
+    for flag in _SWEEP_KINDS_OF:
+        value = getattr(args, flag)
+        if value is None:
+            default = owned.get(flag)
+            setattr(args, flag, None if isinstance(default, str) else default)
+        elif flag not in owned:
+            raise ConfigError(f"--{flag} does not apply to --kind {args.kind}")
+        elif flag.endswith("steps") and value < 0:
+            raise ConfigError(f"--{flag} {value} must not be negative")
     rows: list[str] = []
     if args.kind == "beta2-vs-kappa":
         header = "kappa,beta2_star"
@@ -351,19 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_swp)
     p_swp.add_argument("--kind", choices=("beta2-vs-kappa", "value-surface", "breakeven"),
                        required=True)
-    p_swp.add_argument("--kappa_min", type=float, default=1.01)
-    p_swp.add_argument("--kappa_max", type=float, default=3.0)
-    p_swp.add_argument("--steps", type=int, default=21)
-    p_swp.add_argument("--gamma_min", type=float, default=None)
-    p_swp.add_argument("--gamma_max", type=float, default=None)
-    p_swp.add_argument("--gamma_steps", type=int, default=11)
-    p_swp.add_argument("--beta_min", type=float, default=None)
-    p_swp.add_argument("--beta_max", type=float, default=None)
-    p_swp.add_argument("--beta_steps", type=int, default=21)
-    p_swp.add_argument("--ratio", type=float, default=None,
-                       help="funding ratio at which the surface is evaluated")
-    p_swp.add_argument("--sigma_A_min", type=float, default=None)
-    p_swp.add_argument("--sigma_A_max", type=float, default=None)
+    for flag, kinds in _SWEEP_KINDS_OF.items():
+        p_swp.add_argument(
+            f"--{flag}", type=int if flag.endswith("steps") else float, default=None,
+            help=f"--kind {' or '.join(kinds)} only (default {_SWEEP_FLAGS[kinds[0]][flag]})",
+        )
     p_swp.set_defaults(func=cmd_sweep)
 
     p_ver = sub.add_parser("verify", help="check the verification-lemma conditions")

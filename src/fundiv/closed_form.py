@@ -54,7 +54,6 @@ __all__ = [
     "value_unconstrained",
     "optimal_barrier_beta0",
     "constrained_barrier_beta1",
-    "value_constrained",
 ]
 
 
@@ -161,8 +160,9 @@ class ClosedFormValue:
         d1 = np.where(band, (z1 * t1 + z2 * t2) / rc, slope)
         d2 = np.where(band, (1.0 - z1) * t1 + (1.0 - z2) * t2, (t1 + t2) - slope * rc)
         curv = np.where(band, z1 * (z1 - 1.0) * t1 + z2 * (z2 - 1.0) * t2, 0.0)
+        # One factor at a time: rc * rc overflows for ratios above ~1.3e154.
         return tuple(
-            _scalar(d) for d in (d1, d2, curv / (rc * rc * x2), curv / x2, -curv / (rc * x2))
+            _scalar(d) for d in (d1, d2, curv / rc / rc / x2, curv / x2, -curv / rc / x2)
         )
 
 
@@ -210,8 +210,3 @@ def constrained_barrier_beta1(p: ModelParams) -> float:
     """
     alpha1 = require_alpha1(p)
     return max(optimal_barrier_beta0(p), alpha1)
-
-
-def value_constrained(x1: float, x2: float, p: ModelParams) -> float:
-    """Value of the solvency-constrained problem (barrier at beta1*)."""
-    return value_unconstrained(x1, x2, constrained_barrier_beta1(p), p)

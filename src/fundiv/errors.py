@@ -7,6 +7,27 @@ procedure could not complete reliably, and config errors mean a simulation
 run was set up inconsistently.
 """
 
+__all__ = [
+    "FundivError",
+    "ParameterError",
+    "VolatilityNotPositive",
+    "CorrelationOutOfRange",
+    "ProfitabilityViolated",
+    "DiscountTooLow",
+    "RuinLevelNotPositive",
+    "SolvencyLevelTooLow",
+    "InjectionCostTooLow",
+    "MissingParameter",
+    "DomainError",
+    "SeamError",
+    "NumericalError",
+    "BracketFailure",
+    "NoBreakeven",
+    "MonotonicityError",
+    "ConfigError",
+    "EmptyInput",
+]
+
 
 class FundivError(Exception):
     """Base class for every error raised by this package."""

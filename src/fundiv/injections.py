@@ -39,7 +39,6 @@ from .errors import BracketFailure, DomainError, MonotonicityError, NoBreakeven,
 from .params import ModelParams, require_kappa
 
 __all__ = [
-    "coefficients",
     "double_barrier_value",
     "value_injections",
     "psi",
@@ -50,6 +49,9 @@ __all__ = [
 
 #: Bracket-expansion cap for the psi root: beta <= alpha0 * 2**MAX_DOUBLINGS.
 MAX_DOUBLINGS = 60
+
+#: Lowest injection cost the kappa* search starts from.
+KAPPA_LO = 1.0 + 1e-8
 
 
 def _check_band(beta: float, gamma: float, p: ModelParams) -> None:
@@ -84,16 +86,6 @@ def double_barrier_value(beta: float, gamma: float, p: ModelParams) -> ClosedFor
     return ClosedFormValue(
         beta=beta, gamma=gamma, alpha0=p.alpha0, kappa=kappa, exponents=e, A=a, B=b
     )
-
-
-def coefficients(beta: float, gamma: float, p: ModelParams) -> tuple[float, float]:
-    """Coefficients (C1, C2) of x1^zeta1 x2^(1-zeta1) and x1^zeta2 x2^(1-zeta2) on the band.
-
-    These are the band weights of :func:`double_barrier_value` rescaled by
-    gamma^(-zeta1) and gamma^(-zeta2).
-    """
-    v = double_barrier_value(beta, gamma, p)
-    return v.A * _rpow(gamma, -v.exponents.zeta1), v.B * _rpow(gamma, -v.exponents.zeta2)
 
 
 def value_injections(x1: float, x2: float, beta: float, gamma: float, p: ModelParams) -> float:
@@ -182,28 +174,26 @@ def _value_at_floor(p: ModelParams, kappa: float) -> float:
     return value_injections(p.alpha0, 1.0, beta2, p.alpha0, pk)
 
 
-def breakeven_kappa(
-    p: ModelParams, kappa_lo: float = 1.0 + 1e-8, kappa_cap: float = 1e3
-) -> float:
+def breakeven_kappa(p: ModelParams, kappa_cap: float = 1e3) -> float:
     """Largest injection cost at which recapitalising at the floor still adds value.
 
     Finds kappa* with V(alpha0, 1; beta2*(kappa*), alpha0) = 0 by bisection
-    over [kappa_lo, kappa_cap].  The start value must be positive and the cap
+    over [KAPPA_LO, kappa_cap].  The start value must be positive and the cap
     value negative, otherwise :class:`NoBreakeven` is raised; monotone decay
     of the floor value in kappa is asserted on an 8-point sample first and a
     violation raises :class:`MonotonicityError` rather than guessing at a
     bracket.  ``p.kappa`` is ignored.
     """
-    f_lo = _value_at_floor(p, kappa_lo)
+    f_lo = _value_at_floor(p, KAPPA_LO)
     f_hi = _value_at_floor(p, kappa_cap)
     if not f_lo > 0.0:
         raise NoBreakeven(
-            f"floor value {f_lo!r} at kappa = {kappa_lo!r} is already nonpositive"
+            f"floor value {f_lo!r} at kappa = {KAPPA_LO!r} is already nonpositive"
         )
     if not f_hi < 0.0:
         raise NoBreakeven(f"floor value {f_hi!r} at kappa = {kappa_cap!r} is still positive")
     # Sample on a log grid in (kappa - 1); allow only rounding-level wobble.
-    lo_off, hi_off = math.log(kappa_lo - 1.0), math.log(kappa_cap - 1.0)
+    lo_off, hi_off = math.log(KAPPA_LO - 1.0), math.log(kappa_cap - 1.0)
     sample = [1.0 + math.exp(lo_off + (hi_off - lo_off) * i / 7.0) for i in range(8)]
     values = [_value_at_floor(p, k) for k in sample]
     for (ka, va), (kb, vb) in zip(zip(sample, values), zip(sample[1:], values[1:])):
@@ -211,7 +201,7 @@ def breakeven_kappa(
             raise MonotonicityError(
                 f"floor value rose from {va!r} at kappa={ka!r} to {vb!r} at kappa={kb!r}"
             )
-    lo, hi = kappa_lo, kappa_cap
+    lo, hi = KAPPA_LO, kappa_cap
     while hi - lo > 1e-10 * max(1.0, lo):
         mid = 0.5 * (lo + hi)
         if _value_at_floor(p, mid) > 0.0:

@@ -34,6 +34,8 @@ from .errors import (
     VolatilityNotPositive,
 )
 
+__all__ = ["ModelParams", "validate", "from_mapping", "read_params_file"]
+
 #: Required field names, in canonical order (also the config-file key names).
 REQUIRED_FIELDS = ("mu_A", "mu_L", "sigma_A", "sigma_L", "rho", "delta", "alpha0")
 

@@ -171,26 +171,25 @@ def _stat_block(values: np.ndarray) -> tuple[float, float, float, float, bool]:
 
 def summarize(
     pv_dividends: np.ndarray,
-    pv_injections: np.ndarray | None = None,
-    ruin_time: np.ndarray | None = None,
-    censored: np.ndarray | None = None,
-    *,
-    kappa: float | None = None,
-    horizon_T: float | None = None,
+    pv_injections: np.ndarray,
+    ruin_time: np.ndarray,
+    censored: np.ndarray,
+    kappa: float | None,
+    horizon_T: float,
 ) -> SimSummary:
-    """Summarise raw per-path arrays.
+    """Summarise the four per-path arrays of a run.
 
     Censored paths enter the ruin-time mean at ``horizon_T``.  The
     coefficient of variation of a sample with nonpositive mean is reported
     as NaN with its flag cleared rather than raising.  Net value is
-    dividends minus ``kappa`` times injections; ``kappa`` is required only
-    when some injection is nonzero.
+    dividends minus ``kappa`` times injections; ``kappa`` may be None when
+    every injection is zero.
     """
     pvd = np.asarray(pv_dividends, dtype=float)
     if pvd.size == 0:
         raise EmptyInput("cannot summarise zero paths")
     n = pvd.size
-    pvi = np.zeros(n) if pv_injections is None else np.asarray(pv_injections, dtype=float)
+    pvi = np.asarray(pv_injections, dtype=float)
     if pvi.shape != pvd.shape:
         raise ConfigError("pv_injections must match pv_dividends in shape")
     if np.any(pvi != 0.0):
@@ -199,20 +198,8 @@ def summarize(
         net = pvd - kappa * pvi
     else:
         net = pvd
-    if censored is None:
-        censored_arr = np.ones(n, dtype=bool)
-    else:
-        censored_arr = np.asarray(censored, dtype=bool)
-    if ruin_time is None:
-        if horizon_T is None:
-            raise ConfigError("horizon_T is required when ruin times are omitted")
-        ruin = np.full(n, float(horizon_T))
-    else:
-        ruin = np.asarray(ruin_time, dtype=float)
-    if np.any(censored_arr):
-        if horizon_T is None:
-            raise ConfigError("horizon_T is required when any path is censored")
-        ruin = np.where(censored_arr, float(horizon_T), ruin)
+    censored_arr = np.asarray(censored, dtype=bool)
+    ruin = np.where(censored_arr, float(horizon_T), np.asarray(ruin_time, dtype=float))
 
     mean_d, var_d, se_d, cv_d, cv_d_ok = _stat_block(pvd)
     mean_n, var_n, se_n, cv_n, cv_n_ok = _stat_block(net)
@@ -467,14 +454,7 @@ def simulate_paths(cfg: SimConfig, policy: Policy, p: ModelParams) -> SimResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             tiles = list(pool.map(_run_tile, *args))
     pvd, pvi, ruin_time, censored = (np.concatenate(col) for col in zip(*tiles))
-    summary = summarize(
-        pvd,
-        pvi,
-        ruin_time,
-        censored,
-        kappa=p.kappa,
-        horizon_T=cfg.horizon_T,
-    )
+    summary = summarize(pvd, pvi, ruin_time, censored, p.kappa, cfg.horizon_T)
     return SimResult(
         config=cfg,
         policy=policy,

@@ -26,7 +26,6 @@ across it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +51,6 @@ FD_MIN_STEP = 1e-9
 TOL_EQUALITY_ANALYTIC = 1e-8
 TOL_EQUALITY_FD = 1e-4
 TOL_INEQUALITY = 1e-10
-
-_FD_MODES = ("finite-difference", "fd")
 
 
 @dataclass(frozen=True)
@@ -105,8 +102,9 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _steps(x1, x2, h_rel: float, h_min: float):
-    return np.maximum(h_rel * np.abs(x1), h_min), np.maximum(h_rel * np.abs(x2), h_min)
+def _steps(x1, x2):
+    """Central-difference steps at (x1, x2), from the module constants at call time."""
+    return tuple(np.maximum(FD_REL_STEP * np.abs(x), FD_MIN_STEP) for x in (x1, x2))
 
 
 def _stencil_span(x1, x2, h1, h2):
@@ -117,9 +115,9 @@ def _stencil_span(x1, x2, h1, h2):
     return lo, hi
 
 
-def _fd_partials(fn, x1, x2, h_rel: float, h_min: float):
+def _fd_partials(fn, x1, x2):
     ev = fn.evaluate
-    h1, h2 = _steps(x1, x2, h_rel, h_min)
+    h1, h2 = _steps(x1, x2)
     f0 = ev(x1, x2)
     fp = ev(x1 + h1, x2)
     fm = ev(x1 - h1, x2)
@@ -137,65 +135,58 @@ def _fd_partials(fn, x1, x2, h_rel: float, h_min: float):
     return d1, d2, d11, d22, d12
 
 
-def _partials(fn, x1, x2, mode: str, h_rel: float = FD_REL_STEP, h_min: float = FD_MIN_STEP):
+def _partials(fn, x1, x2, mode: str):
     """Exact branch partials in analytic mode, central differences otherwise."""
     if mode == "analytic":
         return fn.partials(x1, x2)
-    return _fd_partials(fn, x1, x2, h_rel, h_min)
+    return _fd_partials(fn, x1, x2)
 
 
-def generator_apply(
-    fn,
-    x1: float,
-    x2: float,
-    p: ModelParams,
-    mode: str = "analytic",
-    *,
-    h_rel: float = FD_REL_STEP,
-    h_min: float = FD_MIN_STEP,
-    seams: tuple[float, ...] | None = None,
-) -> float:
+def generator_apply(fn, x1: float, x2: float, p: ModelParams, mode: str = "analytic") -> float:
     """Apply the diffusion generator A to the value object ``fn`` at (x1, x2).
 
     Analytic mode uses the exact branch partials ``fn.partials(x1, x2)``;
-    finite-difference mode uses central differences of ``fn.evaluate``.  An
-    object without ``partials`` raises :class:`TypeError`.  ``seams``
-    (default: ``fn.seam_ratios`` when present) are funding ratios with kinks;
-    a stencil straddling one raises :class:`SeamError`.
+    finite-difference mode uses central differences of ``fn.evaluate`` with
+    the relative step ``FD_REL_STEP`` (floored at ``FD_MIN_STEP``), and a
+    stencil straddling a kink in ``fn.seam_ratios`` raises
+    :class:`SeamError`.  An object without ``partials`` raises
+    :class:`TypeError`.
     """
-    mode = _normalize_mode(mode)
+    _check_mode(mode)
     if not hasattr(fn, "partials"):
         raise TypeError(f"{fn!r} is not a value object with exact partials")
     if mode != "analytic":
-        if seams is None:
-            seams = tuple(getattr(fn, "seam_ratios", ()))
-        h1, h2 = _steps(x1, x2, h_rel, h_min)
+        h1, h2 = _steps(x1, x2)
         lo, hi = _stencil_span(x1, x2, h1, h2)
-        for seam in seams:
+        for seam in fn.seam_ratios:
             if lo <= seam <= hi:
                 raise SeamError(
                     f"stencil around x1/x2 = {x1 / x2!r} spans [{float(lo)!r}, {float(hi)!r}] "
                     f"and straddles the kink at {seam!r}"
                 )
-    return sum(_generator_terms(_partials(fn, x1, x2, mode, h_rel, h_min), x1, x2, p))
+    return sum(_generator_terms(_partials(fn, x1, x2, mode), x1, x2, p))
 
 
 def _generator_terms(partials, x1, x2, p: ModelParams):
-    """The five terms of A f at (x1, x2), from the partials of f."""
+    """The five terms of A f at (x1, x2), from the partials of f.
+
+    Each coordinate multiplies its partial one at a time: x1 * x1 overflows
+    for ratios above ~1.3e154 where the term itself is finite.
+    """
     d1, d2, d11, d22, d12 = partials
     return (
         p.mu_A * x1 * d1,
         p.mu_L * x2 * d2,
-        0.5 * p.sigma_A * p.sigma_A * x1 * x1 * d11,
-        0.5 * p.sigma_L * p.sigma_L * x2 * x2 * d22,
-        p.rho * p.sigma_A * p.sigma_L * x1 * x2 * d12,
+        0.5 * p.sigma_A * p.sigma_A * x1 * (x1 * d11),
+        0.5 * p.sigma_L * p.sigma_L * x2 * (x2 * d22),
+        p.rho * p.sigma_A * p.sigma_L * x1 * (x2 * d12),
     )
 
 
 def _clear_of_seams(r: np.ndarray, seams: tuple[float, ...], lo_limit: float) -> np.ndarray:
     """Shift each evaluation point (not the stencil) off the first kink its stencil straddles."""
     for _ in range(8):
-        h1, h2 = _steps(r, 1.0, FD_REL_STEP, FD_MIN_STEP)
+        h1, h2 = _steps(r, 1.0)
         span_lo, span_hi = _stencil_span(r, 1.0, h1, h2)
         seam = np.full(r.shape, math.nan)
         for s in reversed(seams):
@@ -212,7 +203,7 @@ def _clear_of_seams(r: np.ndarray, seams: tuple[float, ...], lo_limit: float) ->
 
 def _one_sided(fn, r: float, side: float) -> tuple[float, float]:
     """Second-order one-sided d/dx1 and d2/dx1^2 at (r, 1): from below for side 1, above for -1."""
-    h = side * _steps(r, 1.0, FD_REL_STEP, FD_MIN_STEP)[0]
+    h = side * _steps(r, 1.0)[0]
     f0, f1, f2 = fn.evaluate(r - np.array([0.0, 1.0, 2.0]) * h, 1.0)
     d1 = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
     d11 = (f0 - 2.0 * f1 + f2) / (h * h)
@@ -229,24 +220,19 @@ def _tol_inequality(mode: str) -> float:
     return TOL_INEQUALITY if mode == "analytic" else TOL_EQUALITY_FD
 
 
-def _normalize_mode(mode: str) -> str:
-    if mode == "analytic":
-        return mode
-    if mode in _FD_MODES:
-        return "finite-difference"
-    raise ValueError(f"unknown mode {mode!r}; use 'analytic' or 'finite-difference'")
+def _check_mode(mode: str) -> None:
+    if mode not in ("analytic", "finite-difference"):
+        raise ValueError(f"unknown mode {mode!r}; use 'analytic' or 'finite-difference'")
 
 
-def _grid_pass(fn, p: ModelParams, level: float, n_points: int, mode: str):
-    """Evaluate ``fn`` at all ratios of the lemma grid [alpha0, 3 level] at once.
+def _grid_pass(fn, p: ModelParams, level: float, mode: str):
+    """Evaluate ``fn`` at the ``N_GRID`` ratios of the lemma grid [alpha0, 3 level] at once.
 
     Returns arrays of the grid ratios r, the values H(r, 1), the ratios
     r_eff where the partials were taken (r, or off a kink in fd mode), the
     partials at r_eff (one row each) and (A - delta)H / scale at r_eff.
     """
-    if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral) or n_points < 2:
-        raise ValueError(f"n_points = {n_points!r} must be an integer >= 2")
-    r = np.geomspace(p.alpha0, 3.0 * level, n_points)
+    r = np.geomspace(p.alpha0, 3.0 * level, N_GRID)
     value = fn.evaluate(r, 1.0)
     r_eff = r
     if mode != "analytic":
@@ -308,16 +294,14 @@ def _worst(condition_id: str, violation, location, tolerance: float) -> Conditio
     )
 
 
-def _report(
-    problem: str, level: float, mode: str, p: ModelParams, n_points: int, table
-) -> VerificationReport:
+def _report(problem: str, level: float, mode: str, p: ModelParams, table) -> VerificationReport:
     """Reduce a table of (condition id, violations, locations, tolerance) to a report."""
     conditions = tuple(_worst(*row) for row in table)
     return VerificationReport(
         problem=problem,
         barrier=level,
         mode=mode,
-        grid_spec=GridSpec(ratio_lo=p.alpha0, ratio_hi=3.0 * level, n_points=n_points),
+        grid_spec=GridSpec(ratio_lo=p.alpha0, ratio_hi=3.0 * level, n_points=N_GRID),
         condition_results=conditions,
         passed=all(c.passed for c in conditions),
     )
@@ -325,11 +309,7 @@ def _report(
 
 @np.errstate(over="ignore", invalid="ignore")  # the report shows where values stop being finite
 def check_solvency_lemma(
-    p: ModelParams,
-    *,
-    barrier: float | None = None,
-    n_points: int = N_GRID,
-    mode: str = "analytic",
+    p: ModelParams, *, barrier: float | None = None, mode: str = "analytic"
 ) -> VerificationReport:
     """Check the six verification conditions of the solvency-constrained problem.
 
@@ -343,18 +323,18 @@ def check_solvency_lemma(
     5. generator-zero-band  -- (A - delta)H = 0 strictly inside (alpha0, barrier)
     6. generator-nonpositive-above -- (A - delta)H <= 0 for r > alpha1
     """
-    mode = _normalize_mode(mode)
+    _check_mode(mode)
     alpha1 = require_alpha1(p)
     level = constrained_barrier_beta1(p) if barrier is None else float(barrier)
     cf = closed_form_value(level, p)
     tol_eq, tol_ineq = _tol_equality(mode), _tol_inequality(mode)
-    r, value, r_eff, parts, gen = _grid_pass(cf, p, level, n_points, mode)
+    r, value, r_eff, parts, gen = _grid_pass(cf, p, level, mode)
     pasting = _pasting(cf, level, mode)
     pay = r_eff >= alpha1
     band = (p.alpha0 < r_eff) & (r_eff < level)
     above = r_eff > alpha1
     finite = np.isfinite(parts[:, :2]).all(axis=1)
-    return _report("solvency", level, mode, p, n_points, [
+    return _report("solvency", level, mode, p, [
         ("nonnegative", _negativity(value), r, TOL_INEQUALITY),
         ("c1-pasting", pasting, [level] * len(pasting), tol_eq),
         ("bounded-partials", np.where(finite, 0.0, math.inf), r_eff, TOL_INEQUALITY),
@@ -366,11 +346,7 @@ def check_solvency_lemma(
 
 @np.errstate(over="ignore", invalid="ignore")
 def check_injection_lemma(
-    p: ModelParams,
-    *,
-    barrier: float | None = None,
-    n_points: int = N_GRID,
-    mode: str = "analytic",
+    p: ModelParams, *, barrier: float | None = None, mode: str = "analytic"
 ) -> VerificationReport:
     """Check the five verification conditions of the capital-injection problem.
 
@@ -384,12 +360,12 @@ def check_injection_lemma(
     4. slope-corridor -- 1 <= dH/dx1 <= kappa
     5. bounded-dx2    -- the x2-partial is finite on the compact grid
     """
-    mode = _normalize_mode(mode)
+    _check_mode(mode)
     kappa = require_kappa(p)
     level = optimal_barrier_beta2(p) if barrier is None else float(barrier)
     dv = double_barrier_value(level, p.alpha0, p)
     tol_eq, tol_ineq = _tol_equality(mode), _tol_inequality(mode)
-    r, value, r_eff, parts, gen = _grid_pass(dv, p, level, n_points, mode)
+    r, value, r_eff, parts, gen = _grid_pass(dv, p, level, mode)
     # The x2 and mixed curvatures are tied to the x1 curvature by homogeneity,
     # so each is normalised by the matching mid-band curvature magnitude.
     mid_curvature = dv.partials(0.5 * (p.alpha0 + level), 1.0)[2:]
@@ -399,7 +375,7 @@ def check_injection_lemma(
         d1_floor = _one_sided(dv, p.alpha0, -1.0)[0]
     pasting = _pasting(dv, level, mode, mid_curvature) + [abs(d1_floor - kappa) / kappa]
     d1 = parts[:, 0]
-    return _report("injection", level, mode, p, n_points, [
+    return _report("injection", level, mode, p, [
         ("c2-pasting", pasting, [level] * (len(pasting) - 1) + [p.alpha0], tol_eq),
         ("nonnegative", _negativity(value), r, TOL_INEQUALITY),
         ("generator-sign", np.maximum(0.0, gen), r_eff, tol_ineq),
@@ -408,7 +384,7 @@ def check_injection_lemma(
     ])
 
 
-def check_smooth_fit(p: ModelParams, problem: str = "solvency") -> float | None:
+def check_smooth_fit(p: ModelParams, problem: str) -> float | None:
     """Normalised one-sided second derivative at the optimal payout barrier.
 
     Returns d2V/dx1^2 just below the barrier divided by the same quantity at

@@ -2,11 +2,14 @@
 and byte-level determinism of simulation output."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fundiv
 from fundiv import (
     DoubleBarrier,
     SolvencyConstrained,
@@ -371,6 +374,24 @@ def test_sweep_negative_count_exits_1(capsys, p1_config, kind, flag):
     assert flag in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind, flag", [
+    ("beta2-vs-kappa", "--sigma_A_min"),
+    ("beta2-vs-kappa", "--gamma_min"),
+    ("beta2-vs-kappa", "--ratio"),
+    ("value-surface", "--kappa_max"),
+    ("value-surface", "--steps"),
+    ("breakeven", "--kappa_min"),
+    ("breakeven", "--beta_steps"),
+])
+def test_sweep_rejects_flags_of_other_kinds(capsys, p1_config, kind, flag):
+    rc, out, err = run_cli(
+        capsys, "sweep", "--config", p1_config, "--kappa", "1.05", "--kind", kind, flag, "2",
+    )
+    assert rc == 1
+    assert out == ""
+    assert f"error: {flag} does not apply to --kind {kind}" in err
+
+
 def test_verify_overflowing_barrier_exits_2_with_a_report(capsys, p1_config):
     rc, out, err = run_cli(
         capsys, "verify", "--config", p1_config, "--alpha1", "1.2",
@@ -442,9 +463,12 @@ def test_help_and_bad_usage_exit_codes(capsys):
 
 
 def test_module_entry_point(p1_config):
+    # The child process imports the same fundiv as this one, installed or not.
+    src = str(Path(fundiv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fundiv.cli", "barriers", "--config", p1_config],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "beta0_star = " in proc.stdout

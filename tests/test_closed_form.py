@@ -18,7 +18,6 @@ from fundiv import (
     exponents,
     optimal_barrier_beta0,
     optimal_barrier_beta2,
-    value_constrained,
     value_unconstrained,
 )
 from helpers import P1, golden_argmax_denominator, make_params, random_params
@@ -248,11 +247,11 @@ def test_constrained_barrier_two_regimes():
     assert constrained_barrier_beta1(binding) == 5.0
     # constrained value never exceeds the unconstrained optimum
     v_u = value_unconstrained(2.0, 1.0, P1_BETA0, binding)
-    assert value_constrained(2.0, 1.0, binding) < v_u
+    assert value_unconstrained(2.0, 1.0, constrained_barrier_beta1(binding), binding) < v_u
 
 
 def test_constrained_value_requires_alpha1():
     from fundiv import MissingParameter
 
     with pytest.raises(MissingParameter):
-        value_constrained(2.0, 1.0, make_params())
+        constrained_barrier_beta1(make_params())

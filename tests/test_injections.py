@@ -13,7 +13,6 @@ from fundiv import (
     NoBreakeven,
     NumericalError,
     breakeven_kappa,
-    coefficients,
     double_barrier_value,
     kappa_from_barrier,
     optimal_barrier_beta2,
@@ -54,7 +53,9 @@ def test_coefficients_match_linear_solve():
         p = random_params(rng, with_kappa=True)
         beta2 = optimal_barrier_beta2(p)
         for beta in (beta2, 1.7 * beta2):
-            c1, c2 = coefficients(beta, p.alpha0, p)
+            v = double_barrier_value(beta, p.alpha0, p)
+            c1 = v.A * p.alpha0 ** -v.exponents.zeta1
+            c2 = v.B * p.alpha0 ** -v.exponents.zeta2
             ref1, ref2 = solve_band_coefficients(beta, p.alpha0, p)
             assert c1 == pytest.approx(ref1, rel=1e-9)
             assert c2 == pytest.approx(ref2, rel=1e-9)

@@ -425,22 +425,25 @@ def test_injections_keep_paths_alive_and_start_below_gamma():
     assert result.summary.mean_net_value == pytest.approx(float(np.mean(net)), rel=1e-15)
 
 
+def censored_run(pvd, pvi=None, kappa=None, horizon_T=1.0):
+    """summarize() of paths that all survive to ``horizon_T``."""
+    n = len(pvd)
+    pvi = np.zeros(n) if pvi is None else pvi
+    return summarize(pvd, pvi, np.full(n, horizon_T), np.ones(n, dtype=bool), kappa, horizon_T)
+
+
 def test_summarize_rejections():
     with pytest.raises(EmptyInput):
-        summarize(np.array([]))
+        censored_run(np.array([]))
     with pytest.raises(ConfigError):
-        summarize(np.ones(3), pv_injections=np.ones(2), horizon_T=1.0)
+        summarize(np.ones(3), np.ones(2), np.ones(3), np.ones(3, dtype=bool), 2.0, 1.0)
     with pytest.raises(ConfigError):
-        summarize(np.ones(3), pv_injections=np.ones(3), horizon_T=1.0)  # kappa missing
-    with pytest.raises(ConfigError):
-        summarize(np.ones(3))  # all censored by default, no horizon to censor at
-    with pytest.raises(ConfigError):
-        summarize(np.ones(3), ruin_time=np.ones(3), censored=np.array([True, False, False]))
+        censored_run(np.ones(3), np.ones(3))  # kappa missing
 
 
 def test_summarize_statistics():
     pvd = np.array([1.0, 2.0, 3.0, 6.0])
-    s = summarize(pvd, horizon_T=10.0)
+    s = censored_run(pvd, horizon_T=10.0)
     assert s.n_paths == 4
     assert s.mean_pv_dividends == pytest.approx(3.0)
     assert s.var_pv_dividends == pytest.approx(np.var(pvd, ddof=1))
@@ -452,26 +455,28 @@ def test_summarize_statistics():
 
     mixed = summarize(
         pvd,
-        ruin_time=np.array([1.0, 2.0, 99.0, 99.0]),
-        censored=np.array([False, False, True, True]),
-        horizon_T=10.0,
+        np.zeros(4),
+        np.array([1.0, 2.0, 99.0, 99.0]),
+        np.array([False, False, True, True]),
+        None,
+        10.0,
     )
     assert mixed.ruin_fraction == 0.5
     assert mixed.mean_ruin_time_censored == pytest.approx((1.0 + 2.0 + 10.0 + 10.0) / 4)
 
-    netted = summarize(pvd, pv_injections=np.full(4, 0.5), kappa=2.0, horizon_T=1.0)
+    netted = censored_run(pvd, np.full(4, 0.5), kappa=2.0)
     assert netted.mean_net_value == pytest.approx(2.0)
 
 
 def test_summarize_cv_undefined_for_nonpositive_mean():
-    s = summarize(np.zeros(4), horizon_T=1.0)
+    s = censored_run(np.zeros(4))
     assert not s.cv_pv_dividends_defined
     assert math.isnan(s.cv_pv_dividends)
     assert not s.cv_net_value_defined
 
 
 def test_summarize_single_path():
-    s = summarize(np.array([2.0]), horizon_T=1.0)
+    s = censored_run(np.array([2.0]))
     assert s.var_pv_dividends == 0.0
     assert s.se_pv_dividends == 0.0
     assert s.cv_pv_dividends == 0.0

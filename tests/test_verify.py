@@ -78,9 +78,11 @@ def test_injection_lemma_passes_at_optimum(mode):
 
 
 def test_fd_mode_alias():
-    report = check_solvency_lemma(solvency_params(), mode="fd")
-    assert report.mode == "finite-difference"
-    assert report.passed
+    # "fd" is not a mode: the lemma checks take the CLI's two names only.
+    p = make_params(alpha1=1.2, kappa=1.05)
+    for check in (check_solvency_lemma, check_injection_lemma):
+        with pytest.raises(ValueError, match="unknown mode 'fd'"):
+            check(p, mode="fd")
 
 
 def test_perturbed_solvency_barrier_fails_loudly():
@@ -159,16 +161,19 @@ def test_generator_fd_matches_analytic():
     assert approx == pytest.approx(exact, rel=1e-4, abs=1e-8)
 
 
-def test_generator_fd_is_second_order():
+def test_generator_fd_is_second_order(monkeypatch):
     # Central differences: halving h should quarter the error, i.e. the
     # log-error/log-h slope sits near 2.  Step pair chosen large enough that
     # truncation still dominates float rounding in the second differences.
     h_coarse, h_fine = 3e-3, 1e-3
 
-    def slope(value_fn, r, p):
+    def fd_error(value_fn, r, p, h_rel):
+        monkeypatch.setattr(verify, "FD_REL_STEP", h_rel)
         exact = generator_apply(value_fn, r, 1.0, p, mode="analytic")
-        err_coarse = abs(generator_apply(value_fn, r, 1.0, p, mode="fd", h_rel=h_coarse) - exact)
-        err_fine = abs(generator_apply(value_fn, r, 1.0, p, mode="fd", h_rel=h_fine) - exact)
+        return abs(generator_apply(value_fn, r, 1.0, p, mode="finite-difference") - exact)
+
+    def slope(value_fn, r, p):
+        err_coarse, err_fine = (fd_error(value_fn, r, p, h) for h in (h_coarse, h_fine))
         return math.log(err_coarse / err_fine) / math.log(h_coarse / h_fine)
 
     p = make_params()
@@ -187,9 +192,6 @@ def test_generator_fd_refuses_to_difference_across_a_kink():
     cf = closed_form_value(beta0, p)
     with pytest.raises(SeamError):
         generator_apply(cf, beta0, 1.0, p, mode="finite-difference")
-    # An explicit empty seam list overrides the function's own kink report.
-    value = generator_apply(cf, beta0, 1.0, p, mode="finite-difference", seams=())
-    assert math.isfinite(value)
 
 
 def test_generator_analytic_needs_exact_partials():
@@ -201,8 +203,9 @@ def test_generator_analytic_needs_exact_partials():
 def test_generator_unknown_mode():
     p = make_params()
     cf = closed_form_value(optimal_barrier_beta0(p), p)
-    with pytest.raises(ValueError):
-        generator_apply(cf, 2.0, 1.0, p, mode="spectral")
+    for mode in ("spectral", "fd"):
+        with pytest.raises(ValueError):
+            generator_apply(cf, 2.0, 1.0, p, mode=mode)
 
 
 def test_lemma_checks_require_their_optional_parameter():
@@ -237,7 +240,7 @@ def test_nan_anywhere_fails_its_condition():
     assert math.isnan(row.worst_violation)
     assert row.location == 2.0
     assert not row.passed
-    report = verify._report("solvency", 3.0, "analytic", make_params(), 3, [
+    report = verify._report("solvency", 3.0, "analytic", make_params(), [
         ("cond", [0.0, math.nan, 0.0], [1.0, 2.0, 3.0], 1e-10),
     ])
     assert "cond: worst = nan at r = 2 (tol = 1.0e-10) FAIL" in report.to_text().splitlines()
@@ -245,25 +248,27 @@ def test_nan_anywhere_fails_its_condition():
 
 
 def test_non_finite_generator_residuals_fail_the_lemma():
-    # At a barrier of 1e200 the generator terms overflow far up the grid.
-    report = check_solvency_lemma(solvency_params(), barrier=1e200)
+    # At a barrier of 1e300 the value itself overflows far up the grid.
+    report = check_solvency_lemma(solvency_params(), barrier=1e300)
     above = condition(report, "generator-nonpositive-above")
     assert math.isnan(above.worst_violation)
     assert not above.passed
     assert not report.passed
 
 
-@pytest.mark.parametrize("check", [check_solvency_lemma, check_injection_lemma])
-@pytest.mark.parametrize("n_points", [0, 1, -5, 2.5, True, "8"])
-def test_lemma_checks_reject_bad_grid_sizes(check, n_points):
-    p = make_params(alpha1=1.2, kappa=1.05)
-    with pytest.raises(ValueError, match="n_points"):
-        check(p, barrier=3.0, n_points=n_points)
+def test_generator_rows_stay_finite_where_squares_overflow():
+    # The grid runs to r = 3e200: r * r and rc * rc overflow there, the generator
+    # terms do not, so the detuned barrier is judged, not failed on a NaN.
+    report = check_solvency_lemma(solvency_params(), barrier=1e200)
+    assert report.grid_spec.ratio_hi == 3e200
+    assert all(math.isfinite(c.worst_violation) for c in report.condition_results)
+    flagged = [c.condition_id for c in report.condition_results if not c.passed]
+    assert flagged == ["slope-at-least-one"]
 
 
 @pytest.mark.parametrize("mode", ["analytic", "finite-difference"])
 @pytest.mark.parametrize("problem", ["solvency", "injection"])
-def test_grid_pass_matches_per_point_calls(problem, mode):
+def test_grid_pass_matches_per_point_calls(problem, mode, monkeypatch):
     # The array pass against scalar calls at each point: the same arithmetic
     # per entry, except the residual's sum, which was an fsum per point.
     if problem == "solvency":
@@ -274,7 +279,8 @@ def test_grid_pass_matches_per_point_calls(problem, mode):
         p = injection_params()
         level = optimal_barrier_beta2(p)
         fn = double_barrier_value(level, 1.1, p)  # kinks at gamma and beta
-    r, value, r_eff, parts, gen = verify._grid_pass(fn, p, level, 64, mode)
+    monkeypatch.setattr(verify, "N_GRID", 64)
+    r, value, r_eff, parts, gen = verify._grid_pass(fn, p, level, mode)
     edge = p.alpha0 * (1.0 + 10.0 * verify.FD_REL_STEP)
     for i in range(r.size):
         assert value[i] == fn.evaluate(float(r[i]), 1.0)
@@ -283,7 +289,7 @@ def test_grid_pass_matches_per_point_calls(problem, mode):
             assert x == r[i]
         else:
             # Off every kink, and moved only where the stencil straddled one.
-            h1, h2 = verify._steps(x, 1.0, verify.FD_REL_STEP, verify.FD_MIN_STEP)
+            h1, h2 = verify._steps(x, 1.0)
             lo, hi = verify._stencil_span(x, 1.0, h1, h2)
             assert not any(lo <= s <= hi for s in fn.seam_ratios)
             if x != max(r[i], edge):
@@ -300,7 +306,7 @@ def test_points_on_kinks_move_clear_of_them():
     r = np.array([1.05, 1.1, 1.1 * (1 - 1e-6), 1.5, 2.0, 2.0 * (1 + 1e-6), 3.0])
     moved = verify._clear_of_seams(r, seams, edge)
     for before, after in zip(r, moved):
-        h1, h2 = verify._steps(after, 1.0, verify.FD_REL_STEP, verify.FD_MIN_STEP)
+        h1, h2 = verify._steps(after, 1.0)
         lo, hi = verify._stencil_span(after, 1.0, h1, h2)
         assert not any(lo <= s <= hi for s in seams)
         if before in (1.05, 1.5, 3.0):
