@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from dataclasses import replace
 
@@ -35,6 +36,7 @@ from .params import (
     from_mapping,
     read_params_file,
 )
+from .simulate import _fmt
 
 _ALL_FIELDS = REQUIRED_FIELDS + OPTIONAL_FIELDS
 
@@ -56,10 +58,6 @@ _SWEEP_KINDS_OF = {
 }
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _gather_params(args: argparse.Namespace) -> ModelParams:
     values: dict[str, float] = {}
     if args.config:
@@ -75,20 +73,16 @@ def _gather_params(args: argparse.Namespace) -> ModelParams:
     return from_mapping(values)
 
 
-def _echo_params(p: ModelParams, fh) -> None:
-    for name in _ALL_FIELDS:
-        value = getattr(p, name)
-        if value is not None:
-            fh.write(f"# {name} = {_fmt(value)}\n")
-
-
 @contextlib.contextmanager
-def _open_output(target: str | None):
-    if not target:
-        yield sys.stdout
-    else:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+def _open_output(target: str | None, p: ModelParams):
+    """Open ``target`` (stdout if unset) and echo the effective parameters into it first."""
+    stream = open(target, "w", encoding="utf-8", newline="") if target else None
+    with stream or contextlib.nullcontext(sys.stdout) as fh:
+        for name in _ALL_FIELDS:
+            value = getattr(p, name)
+            if value is not None:
+                fh.write(f"# {name} = {_fmt(value)}\n")
+        yield fh
 
 
 def _value_fn(
@@ -114,8 +108,7 @@ def _value_fn(
 # subcommands
 
 
-def cmd_barriers(args: argparse.Namespace) -> int:
-    p = _gather_params(args)
+def cmd_barriers(args: argparse.Namespace, p: ModelParams) -> int:
     e = closed_form.exponents(p)
     optima = {"0": _value_fn("unconstrained", p)}
     if p.alpha1 is not None:
@@ -132,17 +125,18 @@ def cmd_barriers(args: argparse.Namespace) -> int:
         if fn.kappa is not None:  # only the injection problem has a ray to report
             lines.append(f"gamma_star = {_fmt(fn.gamma)}")
         lines.append(f"value_at_beta{star} = {_fmt(fn.value_at_barrier())}")
-    with _open_output(args.output) as fh:
-        _echo_params(p, fh)
+    with _open_output(args.output, p) as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
 
 
-def cmd_value(args: argparse.Namespace) -> int:
-    p = _gather_params(args)
+def cmd_value(args: argparse.Namespace, p: ModelParams) -> int:
     if args.gamma is not None and args.problem != "injection":
         raise ConfigError(f"--gamma has no injection ray to set for --problem {args.problem}")
     scale = args.scale if args.scale is not None else 1.0
+    for flag, given in (("x1", args.x1), ("x2", args.x2), ("scale", scale)):
+        if not math.isfinite(given):
+            raise DomainError(f"--{flag} {given!r} must be finite")
     if not scale > 0.0:
         raise DomainError(f"--scale {scale!r} must be positive")
     x1, x2 = args.x1 * scale, args.x2 * scale
@@ -173,8 +167,7 @@ def cmd_value(args: argparse.Namespace) -> int:
         f"dvalue_dx1 = {_fmt(d1)}",
         f"dvalue_dx2 = {_fmt(d2)}",
     ]
-    with _open_output(args.output) as fh:
-        _echo_params(p, fh)
+    with _open_output(args.output, p) as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
 
@@ -191,8 +184,7 @@ def _build_policy(args: argparse.Namespace, p: ModelParams, suffix: str = ""):
     return policy, fn.evaluate(args.x1_0, args.x2_0)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    p = _gather_params(args)
+def cmd_simulate(args: argparse.Namespace, p: ModelParams) -> int:
     cfg = simulate.SimConfig(
         x1_0=args.x1_0,
         x2_0=args.x2_0,
@@ -211,8 +203,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         policy_a, cf_a = _build_policy(args, p)
         policy_b, cf_b = _build_policy(args, p, suffix="_b")
         paired = simulate.paired_compare(cfg, policy_a, policy_b, p)
-        with _open_output(args.output) as fh:
-            _echo_params(p, fh)
+        with _open_output(args.output, p) as fh:
             simulate.write_paired_csv(paired, fh)
             fh.write("\n")
             fh.write(f"policy_a = {policy_a!r}\n")
@@ -230,8 +221,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result = simulate.simulate_paths(cfg, policy, p)
     s = result.summary  # without injections the net fields equal the dividend ones bit for bit
     z = (s.mean_net_value - cf_value) / s.se_net_value if s.se_net_value > 0.0 else float("nan")
-    with _open_output(args.output) as fh:
-        _echo_params(p, fh)
+    with _open_output(args.output, p) as fh:
         simulate.write_paths_csv(result, fh)
         fh.write("\n")
         fh.write(f"policy = {policy!r}\n")
@@ -242,8 +232,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    p = _gather_params(args)
+def cmd_sweep(args: argparse.Namespace, p: ModelParams) -> int:
     owned = _SWEEP_FLAGS[args.kind]
     for flag in _SWEEP_KINDS_OF:
         value = getattr(args, flag)
@@ -292,16 +281,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"{_fmt(sigma_a)},{_fmt(kappa_star)},"
                 f"{_fmt(injections.optimal_barrier_beta2(replace(pk, kappa=kappa_star)))}"
             )
-    with _open_output(args.output) as fh:
-        _echo_params(p, fh)
+    with _open_output(args.output, p) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    p = _gather_params(args)
+def cmd_verify(args: argparse.Namespace, p: ModelParams) -> int:
     checks = {"solvency": verify.check_solvency_lemma, "injection": verify.check_injection_lemma}
     problems = tuple(checks) if args.problem == "both" else (args.problem,)
     if args.barrier_override is not None and len(problems) > 1:
@@ -309,8 +296,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports = [
         checks[problem](p, barrier=args.barrier_override, mode=args.mode) for problem in problems
     ]
-    with _open_output(args.output) as fh:
-        _echo_params(p, fh)
+    with _open_output(args.output, p) as fh:
         fh.write("\n\n".join(r.to_text() for r in reports) + "\n")
     return 0 if all(r.passed for r in reports) else 2
 
@@ -400,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     try:
-        return args.func(args)
+        return args.func(args, _gather_params(args))
     except (ParameterError, ConfigError, EmptyInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -192,10 +192,12 @@ def breakeven_kappa(p: ModelParams, kappa_cap: float = 1e3) -> float:
         )
     if not f_hi < 0.0:
         raise NoBreakeven(f"floor value {f_hi!r} at kappa = {kappa_cap!r} is still positive")
-    # Sample on a log grid in (kappa - 1); allow only rounding-level wobble.
+    # Sample on a log grid in (kappa - 1), whose ends are the two values just
+    # solved; allow only rounding-level wobble.
     lo_off, hi_off = math.log(KAPPA_LO - 1.0), math.log(kappa_cap - 1.0)
-    sample = [1.0 + math.exp(lo_off + (hi_off - lo_off) * i / 7.0) for i in range(8)]
-    values = [_value_at_floor(p, k) for k in sample]
+    inner = [1.0 + math.exp(lo_off + (hi_off - lo_off) * i / 7.0) for i in range(1, 7)]
+    sample = [KAPPA_LO, *inner, kappa_cap]
+    values = [f_lo, *(_value_at_floor(p, k) for k in inner), f_hi]
     for (ka, va), (kb, vb) in zip(zip(sample, values), zip(sample[1:], values[1:])):
         if vb > va + 1e-12 * max(1.0, abs(va)):
             raise MonotonicityError(

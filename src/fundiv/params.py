@@ -130,9 +130,11 @@ def read_params_file(path: str | Path) -> dict[str, float]:
     """Parse a flat ``key = value`` parameter file.
 
     Blank lines and ``#`` comments are ignored.  Values must parse as decimal
-    floats; keys are not checked here (see :func:`from_mapping`).
+    floats, and a key set on two lines is rejected; key names are not checked
+    here (see :func:`from_mapping`).
     """
     out: dict[str, float] = {}
+    line_of: dict[str, int] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -144,6 +146,11 @@ def read_params_file(path: str | Path) -> dict[str, float]:
             )
         key, _, value = stripped.partition("=")
         key = key.strip()
+        if key in line_of:
+            raise ParameterError(
+                key, value.strip(), f"{path} sets it on lines {line_of[key]} and {lineno}"
+            )
+        line_of[key] = lineno
         try:
             out[key] = float(value.strip())
         except ValueError:

@@ -141,7 +141,6 @@ class SimResult:
     """Per-path outputs plus their summary."""
 
     config: SimConfig
-    policy: Policy
     pv_dividends: np.ndarray
     pv_injections: np.ndarray
     ruin_time: np.ndarray
@@ -190,16 +189,18 @@ def summarize(
         raise EmptyInput("cannot summarise zero paths")
     n = pvd.size
     pvi = np.asarray(pv_injections, dtype=float)
-    if pvi.shape != pvd.shape:
-        raise ConfigError("pv_injections must match pv_dividends in shape")
+    ruin_arr = np.asarray(ruin_time, dtype=float)
+    censored_arr = np.asarray(censored, dtype=bool)
+    for name, arr in (("pv_injections", pvi), ("ruin_time", ruin_arr), ("censored", censored_arr)):
+        if arr.shape != pvd.shape:
+            raise ConfigError(f"{name} must match pv_dividends in shape")
     if np.any(pvi != 0.0):
         if kappa is None:
             raise ConfigError("kappa is required to net nonzero injections")
         net = pvd - kappa * pvi
     else:
         net = pvd
-    censored_arr = np.asarray(censored, dtype=bool)
-    ruin = np.where(censored_arr, float(horizon_T), np.asarray(ruin_time, dtype=float))
+    ruin = np.where(censored_arr, float(horizon_T), ruin_arr)
 
     mean_d, var_d, se_d, cv_d, cv_d_ok = _stat_block(pvd)
     mean_n, var_n, se_n, cv_n, cv_n_ok = _stat_block(net)
@@ -457,7 +458,6 @@ def simulate_paths(cfg: SimConfig, policy: Policy, p: ModelParams) -> SimResult:
     summary = summarize(pvd, pvi, ruin_time, censored, p.kappa, cfg.horizon_T)
     return SimResult(
         config=cfg,
-        policy=policy,
         pv_dividends=pvd,
         pv_injections=pvi,
         ruin_time=ruin_time,
@@ -493,41 +493,31 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _write_csv(fh: IO[str], header: str, columns: tuple[np.ndarray, ...]) -> None:
+    """Write ``path_index`` and the columns, one row per path: floats via ``_fmt``, flags 0/1."""
+    fh.write(f"path_index,{header}\n")
+    cells = [
+        np.where(col, "1", "0").tolist() if col.dtype == bool else map(_fmt, col.tolist())
+        for col in columns
+    ]
+    fh.writelines(f"{i},{','.join(row)}\n" for i, row in enumerate(zip(*cells)))
+
+
 def write_paths_csv(result: SimResult, fh: IO[str]) -> None:
     """Stream per-path rows: path_index,pv_dividends,pv_injections,ruin_time,censored."""
-    fh.write("path_index,pv_dividends,pv_injections,ruin_time,censored\n")
-    columns = (
-        result.pv_dividends.tolist(),
-        result.pv_injections.tolist(),
-        result.ruin_time.tolist(),
-        result.censored.astype(int).tolist(),
-    )
-    fh.writelines(
-        f"{i},{_fmt(pvd)},{_fmt(pvi)},{_fmt(ruin)},{cen}\n"
-        for i, (pvd, pvi, ruin, cen) in enumerate(zip(*columns))
-    )
+    columns = (result.pv_dividends, result.pv_injections, result.ruin_time, result.censored)
+    _write_csv(fh, "pv_dividends,pv_injections,ruin_time,censored", columns)
 
 
 def write_paired_csv(paired: PairedComparison, fh: IO[str]) -> None:
     """Stream paired per-path rows for the two arms plus their dividend difference."""
-    fh.write(
-        "path_index,pv_dividends_a,pv_dividends_b,diff_pv_dividends,"
-        "ruin_time_a,ruin_time_b,censored_a,censored_b\n"
-    )
     a, b = paired.result_a, paired.result_b
-    columns = (
-        a.pv_dividends.tolist(),
-        b.pv_dividends.tolist(),
-        paired.diff_pv_dividends.tolist(),
-        a.ruin_time.tolist(),
-        b.ruin_time.tolist(),
-        a.censored.astype(int).tolist(),
-        b.censored.astype(int).tolist(),
-    )
-    fh.writelines(
-        f"{i},{_fmt(pvd_a)},{_fmt(pvd_b)},{_fmt(diff)},{_fmt(ruin_a)},{_fmt(ruin_b)},"
-        f"{cen_a},{cen_b}\n"
-        for i, (pvd_a, pvd_b, diff, ruin_a, ruin_b, cen_a, cen_b) in enumerate(zip(*columns))
+    _write_csv(
+        fh,
+        "pv_dividends_a,pv_dividends_b,diff_pv_dividends,"
+        "ruin_time_a,ruin_time_b,censored_a,censored_b",
+        (a.pv_dividends, b.pv_dividends, paired.diff_pv_dividends,
+         a.ruin_time, b.ruin_time, a.censored, b.censored),
     )
 
 

@@ -103,6 +103,16 @@ def test_unknown_parameter_key_exits_1(capsys, tmp_path):
     assert "unknown parameter" in err
 
 
+def test_config_key_set_twice_exits_1(capsys, tmp_path, p1_config):
+    path = tmp_path / "twice.cfg"
+    text = Path(p1_config).read_text(encoding="utf-8")
+    path.write_text(text + "alpha0 = 1.5\n", encoding="utf-8")
+    rc, out, err = run_cli(capsys, "barriers", "--config", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: alpha0 = ") and "lines 7 and 8" in err
+
+
 def test_value_point_and_homogeneity(capsys, p1_config):
     rc, out, _ = run_cli(
         capsys, "value", "--config", p1_config,
@@ -165,6 +175,29 @@ def test_value_overflow_exits_3(capsys, p1_config):
     assert rc == 3
     assert out == ""
     assert err.startswith("error:") and "Warning" not in err
+
+    # A finite point given whose scaled coordinates overflow is a numerical failure too.
+    rc, out, err = run_cli(
+        capsys, "value", "--config", p1_config, "--problem", "unconstrained",
+        "--x1", "1e300", "--x2", "1.0", "--scale", "1e10",
+    )
+    assert rc == 3
+    assert out == ""
+    assert "overflow" in err
+
+
+@pytest.mark.parametrize("flag, point", [
+    ("--x1", ("--x1", "nan", "--x2", "1.0")),
+    ("--x2", ("--x1", "2.0", "--x2=-inf")),
+    ("--scale", ("--x1", "2.0", "--x2", "1.0", "--scale", "inf")),
+])
+def test_value_non_finite_point_exits_2(capsys, p1_config, flag, point):
+    rc, out, err = run_cli(
+        capsys, "value", "--config", p1_config, "--problem", "unconstrained", *point,
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ") and err.rstrip().endswith("must be finite")
 
 
 @pytest.mark.parametrize("argv", [
@@ -311,6 +344,26 @@ def test_simulate_output_bytes_identical_across_workers(tmp_path, p1_config, cap
         assert rc == 0
         outputs.append(target.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("barriers", "--alpha1", "1.2", "--kappa", "1.05"),
+    ("value", "--problem", "unconstrained", "--x1", "2.0", "--x2", "1.0"),
+    ("simulate", "--policy", "unconstrained", "--x1_0", "2.0", "--x2_0", "1.0",
+     "--dt", "0.25", "--horizon_T", "1.0", "--n_paths", "6", "--seed", "4"),
+    ("sweep", "--kappa", "1.05", "--kind", "beta2-vs-kappa", "--steps", "3"),
+    ("verify", "--alpha1", "1.2", "--problem", "solvency"),
+], ids=lambda argv: argv[0])
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, p1_config, argv):
+    rc, out, err = run_cli(capsys, argv[0], "--config", p1_config, *argv[1:])
+    target = tmp_path / "out.txt"
+    rc_file, out_file, err_file = run_cli(
+        capsys, argv[0], "--config", p1_config, *argv[1:], "--output", str(target),
+    )
+    assert rc == rc_file == 0
+    assert err == err_file == out_file == ""
+    assert out.startswith("# mu_A = 0.050000000000000003\n")
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 def test_sweep_beta2_vs_kappa(capsys, p1_config):

@@ -135,3 +135,11 @@ def test_read_params_file_bad_value(tmp_path):
     cfg.write_text("mu_A = fast\n")
     with pytest.raises(ParameterError):
         read_params_file(cfg)
+
+
+def test_read_params_file_rejects_a_key_set_twice(tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("alpha0 = 1.0\nmu_A = 0.05\nalpha0 = 1.5\n")
+    with pytest.raises(ParameterError, match="lines 1 and 3") as info:
+        read_params_file(cfg)
+    assert info.value.field == "alpha0"

@@ -435,8 +435,12 @@ def censored_run(pvd, pvi=None, kappa=None, horizon_T=1.0):
 def test_summarize_rejections():
     with pytest.raises(EmptyInput):
         censored_run(np.array([]))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="pv_injections"):
         summarize(np.ones(3), np.ones(2), np.ones(3), np.ones(3, dtype=bool), 2.0, 1.0)
+    with pytest.raises(ConfigError, match="ruin_time"):
+        summarize(np.ones(3), np.zeros(3), np.array([0.5]), np.zeros(3, dtype=bool), None, 1.0)
+    with pytest.raises(ConfigError, match="censored"):
+        summarize(np.ones(3), np.zeros(3), np.ones(3), np.array([False]), None, 1.0)
     with pytest.raises(ConfigError):
         censored_run(np.ones(3), np.ones(3))  # kappa missing
 
@@ -513,10 +517,20 @@ def test_paired_csv_round_trips():
         "ruin_time_a,ruin_time_b,censored_a,censored_b"
     )
     assert len(lines) == 1 + BASE_CFG.n_paths
-    row = lines[1].split(",")
-    assert float(row[1]) == paired.result_a.pv_dividends[0]
-    assert float(row[2]) == paired.result_b.pv_dividends[0]
-    assert float(row[3]) == paired.diff_pv_dividends[0]
+    a, b = paired.result_a, paired.result_b
+    columns = (
+        a.pv_dividends, b.pv_dividends, paired.diff_pv_dividends,
+        a.ruin_time, b.ruin_time, a.censored, b.censored,
+    )
+    for i, line in enumerate(lines[1:]):
+        row = line.split(",")
+        assert len(row) == 8
+        assert row[0] == str(i)
+        for cell, col in zip(row[1:], columns):
+            if col.dtype == bool:
+                assert cell == ("1" if col[i] else "0")
+            else:
+                assert float(cell) == col[i]
 
 
 def test_summary_lines_format():
