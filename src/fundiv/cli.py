@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import itertools
 import math
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -40,8 +43,8 @@ from .simulate import _fmt
 
 _ALL_FIELDS = REQUIRED_FIELDS + OPTIONAL_FIELDS
 
-#: The flags each sweep kind reads, with their defaults; a string names a default that
-#: ``cmd_sweep`` derives from the parameters.
+#: The flags each sweep kind reads, with their defaults; a string names a parameter or
+#: beta2*, after an optional factor, and ``cmd_sweep`` resolves it for the run.
 _SWEEP_FLAGS = {
     "beta2-vs-kappa": {"kappa_min": 1.01, "kappa_max": 3.0, "steps": 21},
     "value-surface": {
@@ -56,6 +59,14 @@ _SWEEP_KINDS_OF = {
     for flags in _SWEEP_FLAGS.values()
     for flag in flags
 }
+#: The policy each ``--policy`` name builds from its closed-form value ``fn``.
+_POLICIES = {
+    "unconstrained": lambda fn, p: simulate.UnconstrainedBarrier(beta=fn.beta),
+    "solvency": lambda fn, p: simulate.SolvencyConstrained(beta=fn.beta, alpha1=p.alpha1),
+    "double": lambda fn, p: simulate.DoubleBarrier(beta=fn.beta, gamma=fn.gamma),
+}
+#: The ``verify`` function that checks each problem's lemma (looked up when called).
+_LEMMAS = {"solvency": "check_solvency_lemma", "injection": "check_injection_lemma"}
 
 
 def _gather_params(args: argparse.Namespace) -> ModelParams:
@@ -91,8 +102,9 @@ def _value_fn(
     """Value function of a problem (or policy) at barrier ``beta``, the optimum if unset.
 
     The ruin-stopped problem pays at beta0*, the solvency-constrained one at
-    beta1* = max(beta0*, alpha1); the injection problem (policy ``double``)
-    pays at beta2* and injects at ``gamma``, alpha0 if unset.
+    beta1* = max(beta0*, alpha1), and a solvency barrier below alpha1 is
+    rejected as ``simulate`` rejects it; the injection problem (policy
+    ``double``) pays at beta2* and injects at ``gamma``, alpha0 if unset.
     """
     if kind in ("injection", "double"):
         beta = injections.optimal_barrier_beta2(p) if beta is None else beta
@@ -101,7 +113,10 @@ def _value_fn(
         beta = closed_form.constrained_barrier_beta1(p)
     elif beta is None:
         beta = closed_form.optimal_barrier_beta0(p)
-    return closed_form.closed_form_value(beta, p)
+    fn = closed_form.closed_form_value(beta, p)
+    if kind == "solvency":
+        simulate._check_floor(beta, p.alpha1, p)
+    return fn
 
 
 # --------------------------------------------------------------------------
@@ -176,25 +191,11 @@ def _build_policy(args: argparse.Namespace, p: ModelParams, suffix: str = ""):
     """The policy named by ``--policy<suffix>`` and its closed-form value at the start point."""
     kind = getattr(args, "policy" + suffix)
     fn = _value_fn(kind, p, getattr(args, "beta" + suffix), args.gamma)
-    policy = {
-        "unconstrained": lambda: simulate.UnconstrainedBarrier(beta=fn.beta),
-        "solvency": lambda: simulate.SolvencyConstrained(beta=fn.beta, alpha1=p.alpha1),
-        "double": lambda: simulate.DoubleBarrier(beta=fn.beta, gamma=fn.gamma),
-    }[kind]()
-    return policy, fn.evaluate(args.x1_0, args.x2_0)
+    return _POLICIES[kind](fn, p), fn.evaluate(args.x1_0, args.x2_0)
 
 
 def cmd_simulate(args: argparse.Namespace, p: ModelParams) -> int:
-    cfg = simulate.SimConfig(
-        x1_0=args.x1_0,
-        x2_0=args.x2_0,
-        dt=args.dt,
-        horizon_T=args.horizon_T,
-        n_paths=args.n_paths,
-        seed=args.seed,
-        antithetic=args.antithetic,
-        n_workers=args.n_workers,
-    )
+    cfg = simulate.SimConfig(**{f.name: getattr(args, f.name) for f in fields(simulate.SimConfig)})
     if args.paired != (args.policy_b is not None) or (args.beta_b is not None and not args.paired):
         raise ConfigError("--policy_b and --beta_b need --paired, and --paired needs --policy_b")
     if args.gamma is not None and "double" not in (args.policy, args.policy_b):
@@ -236,13 +237,18 @@ def cmd_sweep(args: argparse.Namespace, p: ModelParams) -> int:
     owned = _SWEEP_FLAGS[args.kind]
     for flag in _SWEEP_KINDS_OF:
         value = getattr(args, flag)
-        if value is None:
-            default = owned.get(flag)
-            setattr(args, flag, None if isinstance(default, str) else default)
-        elif flag not in owned:
+        if value is not None and flag not in owned:
             raise ConfigError(f"--{flag} does not apply to --kind {args.kind}")
-        elif flag.endswith("steps") and value < 0:
+        if value is not None and flag.endswith("steps") and value < 0:
             raise ConfigError(f"--{flag} {value} must not be negative")
+    beta2 = functools.cache(lambda: injections.optimal_barrier_beta2(p))  # solved when named
+    for flag, default in owned.items():
+        if getattr(args, flag) is not None:
+            continue
+        if isinstance(default, str):
+            factor, _, name = default.rpartition(" ")
+            default = (beta2() if name == "beta2*" else getattr(p, name)) * float(factor or 1)
+        setattr(args, flag, default)
     rows: list[str] = []
     if args.kind == "beta2-vs-kappa":
         header = "kappa,beta2_star"
@@ -251,26 +257,17 @@ def cmd_sweep(args: argparse.Namespace, p: ModelParams) -> int:
             rows.append(f"{_fmt(kappa)},{_fmt(injections.optimal_barrier_beta2(pk))}")
     elif args.kind == "value-surface":
         header = "gamma,beta,value"
-        ratio = args.ratio if args.ratio is not None else p.alpha0
-        beta2 = injections.optimal_barrier_beta2(p)
-        gamma_lo = args.gamma_min if args.gamma_min is not None else p.alpha0
-        gamma_hi = args.gamma_max if args.gamma_max is not None else beta2
-        beta_lo = args.beta_min if args.beta_min is not None else p.alpha0
-        beta_hi = args.beta_max if args.beta_max is not None else 2.0 * beta2
-        gammas = np.linspace(gamma_lo, gamma_hi, args.gamma_steps)
-        betas = np.linspace(beta_lo, beta_hi, args.beta_steps)
-        for gamma in gammas:
-            for beta in betas:
-                if beta > gamma >= p.alpha0:
-                    value = injections.value_injections(ratio, 1.0, float(beta), float(gamma), p)
-                    rows.append(f"{_fmt(gamma)},{_fmt(beta)},{_fmt(value)}")
-                else:
-                    rows.append(f"{_fmt(gamma)},{_fmt(beta)},")  # infeasible cell
+        gammas = np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
+        betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
+        for gamma, beta in itertools.product(gammas, betas):
+            if beta > gamma >= p.alpha0:
+                value = injections.value_injections(args.ratio, 1.0, float(beta), float(gamma), p)
+                rows.append(f"{_fmt(gamma)},{_fmt(beta)},{_fmt(value)}")
+            else:
+                rows.append(f"{_fmt(gamma)},{_fmt(beta)},")  # infeasible cell
     else:  # breakeven
         header = "sigma_A,kappa_star,beta2_star"
-        sig_lo = args.sigma_A_min if args.sigma_A_min is not None else 0.6 * p.sigma_A
-        sig_hi = args.sigma_A_max if args.sigma_A_max is not None else 1.4 * p.sigma_A
-        for sigma_a in np.linspace(sig_lo, sig_hi, args.steps):
+        for sigma_a in np.linspace(args.sigma_A_min, args.sigma_A_max, args.steps):
             pk = replace(p, sigma_A=float(sigma_a))
             try:
                 kappa_star = injections.breakeven_kappa(pk)
@@ -289,12 +286,12 @@ def cmd_sweep(args: argparse.Namespace, p: ModelParams) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, p: ModelParams) -> int:
-    checks = {"solvency": verify.check_solvency_lemma, "injection": verify.check_injection_lemma}
-    problems = tuple(checks) if args.problem == "both" else (args.problem,)
+    problems = tuple(_LEMMAS) if args.problem == "both" else (args.problem,)
     if args.barrier_override is not None and len(problems) > 1:
         raise ConfigError("--barrier-override needs an explicit --problem")
     reports = [
-        checks[problem](p, barrier=args.barrier_override, mode=args.mode) for problem in problems
+        getattr(verify, _LEMMAS[problem])(p, barrier=args.barrier_override, mode=args.mode)
+        for problem in problems
     ]
     with _open_output(args.output, p) as fh:
         fh.write("\n\n".join(r.to_text() for r in reports) + "\n")
@@ -338,29 +335,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo paths under a policy")
     _add_param_flags(p_sim)
-    p_sim.add_argument("--policy", choices=("unconstrained", "solvency", "double"),
-                       required=True)
+    p_sim.add_argument("--policy", choices=_POLICIES, required=True)
     p_sim.add_argument("--beta", type=float, default=None, help="barrier override")
     p_sim.add_argument("--gamma", type=float, default=None, help="injection ray override")
-    p_sim.add_argument("--x1_0", type=float, required=True)
-    p_sim.add_argument("--x2_0", type=float, required=True)
-    p_sim.add_argument("--dt", type=float, required=True)
-    p_sim.add_argument("--horizon_T", type=float, required=True)
-    p_sim.add_argument("--n_paths", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--antithetic", action="store_true")
-    p_sim.add_argument("--n_workers", type=int, default=1)
+    run_types = get_type_hints(simulate.SimConfig)
+    for f in fields(simulate.SimConfig):
+        how = {"action": "store_true"} if run_types[f.name] is bool else {"type": run_types[f.name]}
+        how.update({"required": True} if f.default is MISSING else {"default": f.default})
+        p_sim.add_argument(f"--{f.name}", **how)
     p_sim.add_argument("--paired", action="store_true",
                        help="run a second policy on the same shocks")
-    p_sim.add_argument("--policy_b", choices=("unconstrained", "solvency", "double"),
-                       default=None)
+    p_sim.add_argument("--policy_b", choices=_POLICIES, default=None)
     p_sim.add_argument("--beta_b", type=float, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_swp = sub.add_parser("sweep", help="parameter sweeps as CSV")
     _add_param_flags(p_swp)
-    p_swp.add_argument("--kind", choices=("beta2-vs-kappa", "value-surface", "breakeven"),
-                       required=True)
+    p_swp.add_argument("--kind", choices=_SWEEP_FLAGS, required=True)
     for flag, kinds in _SWEEP_KINDS_OF.items():
         p_swp.add_argument(
             f"--{flag}", type=int if flag.endswith("steps") else float, default=None,
@@ -370,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="check the verification-lemma conditions")
     _add_param_flags(p_ver)
-    p_ver.add_argument("--problem", choices=("solvency", "injection", "both"), default="both")
+    p_ver.add_argument("--problem", choices=(*_LEMMAS, "both"), default="both")
     p_ver.add_argument("--barrier-override", dest="barrier_override", type=float, default=None)
-    p_ver.add_argument("--mode", choices=("analytic", "finite-difference"), default="analytic")
+    p_ver.add_argument("--mode", choices=verify.MODES, default="analytic")
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

@@ -105,7 +105,7 @@ Policy = Union[UnconstrainedBarrier, SolvencyConstrained, DoubleBarrier]
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run geometry: start point, grid, path count, master seed."""
+    """Run geometry: start point, grid, path count, master seed; each field is a simulate flag."""
 
     x1_0: float
     x2_0: float
@@ -225,6 +225,16 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_))
 
 
+def _check_floor(beta: float, alpha1: float | None, p: ModelParams) -> None:
+    """A solvency payout needs a floor alpha1 above alpha0 and a barrier at or above it."""
+    if alpha1 is None:
+        raise ConfigError("a SolvencyConstrained policy needs its floor alpha1")
+    if not alpha1 > p.alpha0:
+        raise ConfigError(f"policy alpha1 = {alpha1!r} must exceed alpha0")
+    if not beta >= alpha1:
+        raise ConfigError(f"policy beta = {beta!r} must be >= its floor alpha1 = {alpha1!r}")
+
+
 def _validate_run(cfg: SimConfig, policy: Policy, p: ModelParams) -> int:
     if not 0.0 < cfg.dt < math.inf:
         raise ConfigError(f"dt = {cfg.dt!r} must be positive and finite")
@@ -259,14 +269,7 @@ def _validate_run(cfg: SimConfig, policy: Policy, p: ModelParams) -> int:
         if not policy.beta >= p.alpha0:
             raise ConfigError(f"policy beta = {policy.beta!r} must be >= alpha0")
     elif isinstance(policy, SolvencyConstrained):
-        if policy.alpha1 is None:
-            raise ConfigError("a SolvencyConstrained policy needs its floor alpha1")
-        if not policy.alpha1 > p.alpha0:
-            raise ConfigError(f"policy alpha1 = {policy.alpha1!r} must exceed alpha0")
-        if not policy.beta >= policy.alpha1:
-            raise ConfigError(
-                f"policy beta = {policy.beta!r} must be >= its floor alpha1 = {policy.alpha1!r}"
-            )
+        _check_floor(policy.beta, policy.alpha1, p)
     elif isinstance(policy, DoubleBarrier):
         require_kappa(p, "simulating a DoubleBarrier policy")
         if not policy.gamma >= p.alpha0:

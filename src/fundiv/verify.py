@@ -51,6 +51,12 @@ FD_MIN_STEP = 1e-9
 TOL_EQUALITY_ANALYTIC = 1e-8
 TOL_EQUALITY_FD = 1e-4
 TOL_INEQUALITY = 1e-10
+#: Each mode's (equality, inequality) tolerances.  Finite-difference sign checks inherit
+#: the stencil's truncation error, so the tight rounding slack is analytic-only.
+MODES = {
+    "analytic": (TOL_EQUALITY_ANALYTIC, TOL_INEQUALITY),
+    "finite-difference": (TOL_EQUALITY_FD, TOL_EQUALITY_FD),
+}
 
 
 @dataclass(frozen=True)
@@ -152,7 +158,7 @@ def generator_apply(fn, x1: float, x2: float, p: ModelParams, mode: str = "analy
     :class:`SeamError`.  An object without ``partials`` raises
     :class:`TypeError`.
     """
-    _check_mode(mode)
+    _tolerances(mode)
     if not hasattr(fn, "partials"):
         raise TypeError(f"{fn!r} is not a value object with exact partials")
     if mode != "analytic":
@@ -210,19 +216,11 @@ def _one_sided(fn, r: float, side: float) -> tuple[float, float]:
     return d1, d11
 
 
-def _tol_equality(mode: str) -> float:
-    return TOL_EQUALITY_ANALYTIC if mode == "analytic" else TOL_EQUALITY_FD
-
-
-def _tol_inequality(mode: str) -> float:
-    # Sign checks on finite-difference estimates inherit the truncation error
-    # of the stencil, so the tight rounding slack only applies in analytic mode.
-    return TOL_INEQUALITY if mode == "analytic" else TOL_EQUALITY_FD
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("analytic", "finite-difference"):
-        raise ValueError(f"unknown mode {mode!r}; use 'analytic' or 'finite-difference'")
+def _tolerances(mode: str) -> tuple[float, float]:
+    """The (equality, inequality) tolerances of ``mode``; an unknown mode raises ValueError."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; use {' or '.join(map(repr, MODES))}")
+    return MODES[mode]
 
 
 def _grid_pass(fn, p: ModelParams, level: float, mode: str):
@@ -276,7 +274,7 @@ def _worst(condition_id: str, violation, location, tolerance: float) -> Conditio
     """Largest violation of one condition and the first ratio where it occurs.
 
     No point checked counts as a pass at 0; a NaN anywhere fails the
-    condition and is reported at the first NaN.
+    condition and is reported at the first NaN.  A zero worst is +0, never -0.
     """
     v = np.asarray(violation, dtype=float)
     if v.size == 0:
@@ -284,7 +282,7 @@ def _worst(condition_id: str, violation, location, tolerance: float) -> Conditio
     else:
         nans = np.flatnonzero(np.isnan(v))
         i = int(nans[0]) if nans.size else int(np.argmax(v))
-        worst, at = float(v[i]), float(location[i])
+        worst, at = float(v[i]) + 0.0, float(location[i])
     return ConditionResult(
         condition_id=condition_id,
         worst_violation=worst,
@@ -323,11 +321,10 @@ def check_solvency_lemma(
     5. generator-zero-band  -- (A - delta)H = 0 strictly inside (alpha0, barrier)
     6. generator-nonpositive-above -- (A - delta)H <= 0 for r > alpha1
     """
-    _check_mode(mode)
+    tol_eq, tol_ineq = _tolerances(mode)
     alpha1 = require_alpha1(p)
     level = constrained_barrier_beta1(p) if barrier is None else float(barrier)
     cf = closed_form_value(level, p)
-    tol_eq, tol_ineq = _tol_equality(mode), _tol_inequality(mode)
     r, value, r_eff, parts, gen = _grid_pass(cf, p, level, mode)
     pasting = _pasting(cf, level, mode)
     pay = r_eff >= alpha1
@@ -360,11 +357,10 @@ def check_injection_lemma(
     4. slope-corridor -- 1 <= dH/dx1 <= kappa
     5. bounded-dx2    -- the x2-partial is finite on the compact grid
     """
-    _check_mode(mode)
+    tol_eq, tol_ineq = _tolerances(mode)
     kappa = require_kappa(p)
     level = optimal_barrier_beta2(p) if barrier is None else float(barrier)
     dv = double_barrier_value(level, p.alpha0, p)
-    tol_eq, tol_ineq = _tol_equality(mode), _tol_inequality(mode)
     r, value, r_eff, parts, gen = _grid_pass(dv, p, level, mode)
     # The x2 and mixed curvatures are tied to the x1 curvature by homogeneity,
     # so each is normalised by the matching mid-band curvature magnitude.

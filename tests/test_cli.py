@@ -1,10 +1,12 @@
 """Command-line interface: parameter sources, subcommand outputs, exit codes,
 and byte-level determinism of simulation output."""
 
+import argparse
 import math
 import os
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -12,13 +14,14 @@ import pytest
 import fundiv
 from fundiv import (
     DoubleBarrier,
+    SimConfig,
     SolvencyConstrained,
     constrained_barrier_beta1,
     optimal_barrier_beta2,
     value_injections,
     value_unconstrained,
 )
-from fundiv.cli import main
+from fundiv.cli import build_parser, main
 from helpers import P1, make_params
 
 P1_BETA0 = 3.406023481382157
@@ -213,6 +216,18 @@ def test_closed_form_overflow_exits_3(capsys, p1_config, argv):
     assert "1e+200" in err  # names the barrier whose band weights overflowed
 
 
+def test_infinite_parameter_exits_1(capsys, p1_config, tmp_path):
+    rc, out, err = run_cli(capsys, "barriers", "--config", p1_config, "--alpha1", "inf")
+    assert (rc, out) == (1, "")
+    assert err == "error: alpha1 = inf violates requirement: alpha1 must be finite\n"
+
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("".join(f"{k} = {'inf' if k == 'sigma_A' else repr(v)}\n" for k, v in P1.items()))
+    rc, out, err = run_cli(capsys, "barriers", "--config", str(cfg))
+    assert (rc, out) == (1, "")
+    assert err == "error: sigma_A = inf violates requirement: sigma_A must be finite\n"
+
+
 def test_value_injection_needs_kappa(capsys, p1_config):
     rc, _, err = run_cli(
         capsys, "value", "--config", p1_config,
@@ -270,6 +285,23 @@ def test_simulate_double_and_solvency_targets_and_z_scores(capsys, p1_config):
     # which differs from the dividend mean; the solvency run never injects.
     assert runs["double"]["mean_net_value"] != runs["double"]["mean_pv_dividends"]
     assert runs["solvency"]["mean_net_value"] == runs["solvency"]["mean_pv_dividends"]
+
+
+def test_simulate_run_flags_are_the_simconfig_fields():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices["simulate"]._actions}
+    others = {"help", "config", "output", "policy", "beta", "gamma", "paired", "policy_b", "beta_b"}
+    model = {f.name for f in fields(fundiv.ModelParams)}
+    assert set(flags) - others - model == {f.name for f in fields(SimConfig)}
+    for f in fields(SimConfig):
+        action = flags[f.name]
+        assert action.required == (f.default is MISSING), f.name
+        if not action.required:
+            assert action.default == f.default, f.name
+        if f.name == "antithetic":
+            assert isinstance(action, argparse._StoreTrueAction)
+        else:
+            assert action.type is {"n_paths": int, "seed": int, "n_workers": int}.get(f.name, float)
 
 
 def test_simulate_config_errors_exit_1(capsys, p1_config):
@@ -412,6 +444,19 @@ def test_sweep_breakeven_direction(capsys, p1_config):
     assert stars[0] > stars[1] > stars[2]
 
 
+def test_sweep_breakeven_leaves_rows_without_a_breakeven_blank(capsys, p1_config):
+    # At sigma_A = 15150 and 30000 no kappa* lies above KAPPA_LO.
+    rc, out, err = run_cli(
+        capsys, "sweep", "--config", p1_config, "--kind", "breakeven",
+        "--sigma_A_min", "300", "--sigma_A_max", "30000", "--steps", "3",
+    )
+    assert (rc, err) == (0, "")
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert rows[2:] == ["15150,,", "30000,,"]
+    sigma_a, kappa_star, beta2_star = map(float, rows[1].split(","))
+    assert sigma_a == 300.0 and kappa_star > 1.0 and beta2_star > P1["alpha0"]
+
+
 @pytest.mark.parametrize("kind, flag", [
     ("beta2-vs-kappa", "--steps"),
     ("breakeven", "--steps"),
@@ -488,6 +533,29 @@ def test_verify_missing_alpha1_exits_1(capsys, p1_config):
     rc, _, err = run_cli(capsys, "verify", "--config", p1_config, "--problem", "solvency")
     assert rc == 1
     assert "alpha1" in err
+
+
+@pytest.mark.parametrize("floor, error", [
+    ((), "a SolvencyConstrained policy needs its floor alpha1"),
+    (("--alpha1", "1.5"), "policy beta = 1.2 must be >= its floor alpha1 = 1.5"),
+])
+@pytest.mark.parametrize("command", [
+    ("value", "--problem", "solvency", "--x1", "2", "--x2", "1"),
+    ("simulate", "--policy", "solvency", *SIM_RUN),
+])
+def test_solvency_barrier_below_its_floor_exits_1(capsys, p1_config, floor, error, command):
+    # value and simulate share simulate's floor rule for a solvency barrier.
+    rc, out, err = run_cli(capsys, command[0], "--config", p1_config, *floor, "--beta", "1.2",
+                           *command[1:])
+    assert (rc, out) == (1, "")
+    assert err == f"error: {error}\n"
+
+
+def test_value_solvency_barrier_at_its_floor_is_accepted(capsys, p1_config):
+    rc, out, _ = run_cli(capsys, "value", "--config", p1_config, "--alpha1", "1.5",
+                         "--problem", "solvency", "--beta", "1.5", "--x1", "2", "--x2", "1")
+    assert rc == 0
+    assert kv(out)["beta"] == "1.5"
 
 
 def test_simulate_solvency_missing_alpha1_exits_1(capsys, p1_config):

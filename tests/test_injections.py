@@ -118,6 +118,10 @@ def test_injection_band_requires_valid_geometry():
         double_barrier_value(P1_BETA2, 0.8, p)  # gamma below alpha0
     with pytest.raises(DomainError):
         double_barrier_value(1.0, 1.0, p)  # beta not above gamma
+    with pytest.raises(DomainError, match="gamma = 0.8 must be >= alpha0"):
+        psi(P1_BETA2, 0.8, p)
+    with pytest.raises(DomainError, match="beta = 1.0 must be >= gamma = 1.1"):
+        psi(1.0, 1.1, p)
 
 
 def test_overflowing_band_weights_name_the_barrier():

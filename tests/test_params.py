@@ -52,12 +52,15 @@ BUILDERS = {
     [
         ("sigma_A", 0.0, VolatilityNotPositive),
         ("sigma_A", -0.3, VolatilityNotPositive),
+        ("sigma_A", -math.inf, VolatilityNotPositive),
         ("sigma_L", 0.0, VolatilityNotPositive),
         ("rho", 1.0, CorrelationOutOfRange),
         ("rho", -1.0, CorrelationOutOfRange),
         ("rho", 1.5, CorrelationOutOfRange),
+        ("rho", math.inf, CorrelationOutOfRange),
         ("mu_A", 0.02, ProfitabilityViolated),  # equals mu_L
         ("mu_A", 0.0, ProfitabilityViolated),
+        ("mu_A", -math.inf, ProfitabilityViolated),
         ("delta", 0.05, DiscountTooLow),  # equals mu_A
         ("delta", 0.01, DiscountTooLow),
         ("alpha0", 0.0, RuinLevelNotPositive),
@@ -66,6 +69,7 @@ BUILDERS = {
         ("alpha1", 0.5, SolvencyLevelTooLow),
         ("kappa", 1.0, InjectionCostTooLow),
         ("kappa", 0.9, InjectionCostTooLow),
+        ("kappa", -math.inf, InjectionCostTooLow),
     ],
 )
 def test_each_constraint_rejected(field, value, exc):
@@ -75,6 +79,37 @@ def test_each_constraint_rejected(field, value, exc):
         assert type(details.value) is exc, how
         assert details.value.field == field, how
         assert details.value.value == value, how
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("sigma_A", math.inf),
+        ("sigma_L", math.inf),
+        ("delta", math.inf),
+        ("alpha0", math.inf),
+        ("alpha1", math.inf),
+        ("kappa", math.inf),
+        ("mu_L", -math.inf),
+    ],
+)
+def test_infinity_within_every_bound_rejected(field, value):
+    # Each value passes its comparison, so the last check names the field.
+    builders = {**BUILDERS, "replace": lambda **kw: replace(make_params(), **kw)}
+    for how, build in builders.items():
+        with pytest.raises(ParameterError, match=f"{field} must be finite") as details:
+            build(**{field: value})
+        assert type(details.value) is ParameterError, how
+        assert details.value.field == field, how
+        assert details.value.value == value, how
+
+
+def test_negative_delta_rejected_above_a_negative_mu_A():
+    # delta > mu_A holds here, so only the positivity check catches it.
+    for how, build in BUILDERS.items():
+        with pytest.raises(DiscountTooLow, match="delta > 0") as details:
+            build(mu_A=-0.01, mu_L=-0.02, delta=-0.005)
+        assert details.value.field == "delta", how
 
 
 @pytest.mark.parametrize("field", ["sigma_A", "sigma_L", "rho", "mu_A", "delta", "alpha0"])

@@ -49,6 +49,7 @@ def test_solvency_lemma_passes_at_optimum(mode, alpha1):
     assert report.barrier == pytest.approx(expected, rel=1e-13)
     assert report.passed
     assert all(c.passed for c in report.condition_results)
+    assert "worst = -" not in report.to_text()  # a zero worst prints as +0
     ids = [c.condition_id for c in report.condition_results]
     assert ids == [
         "nonnegative",
@@ -67,6 +68,7 @@ def test_injection_lemma_passes_at_optimum(mode):
     assert report.problem == "injection"
     assert report.barrier == pytest.approx(optimal_barrier_beta2(p), rel=1e-13)
     assert report.passed
+    assert "worst = -" not in report.to_text()
     ids = [c.condition_id for c in report.condition_results]
     assert ids == [
         "c2-pasting",
@@ -245,6 +247,14 @@ def test_nan_anywhere_fails_its_condition():
     ])
     assert "cond: worst = nan at r = 2 (tol = 1.0e-10) FAIL" in report.to_text().splitlines()
     assert not report.passed
+
+
+def test_a_condition_without_grid_points_passes_at_zero():
+    # A barrier at alpha0 leaves the band (alpha0, barrier) empty.
+    report = check_solvency_lemma(solvency_params(), barrier=P1["alpha0"])
+    band = condition(report, "generator-zero-band")
+    assert band.worst_violation == 0.0 and band.passed
+    assert math.isnan(band.location)
 
 
 def test_non_finite_generator_residuals_fail_the_lemma():
