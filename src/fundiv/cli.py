@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -28,6 +28,7 @@ from .errors import (
     ConfigError,
     DomainError,
     EmptyInput,
+    NoBreakeven,
     NumericalError,
     ParameterError,
     SeamError,
@@ -36,10 +37,11 @@ from .params import (
     OPTIONAL_FIELDS,
     REQUIRED_FIELDS,
     ModelParams,
+    _flat_text,
+    _fmt,
     from_mapping,
     read_params_file,
 )
-from .simulate import _fmt
 
 _ALL_FIELDS = REQUIRED_FIELDS + OPTIONAL_FIELDS
 
@@ -89,10 +91,8 @@ def _open_output(target: str | None, p: ModelParams):
     """Open ``target`` (stdout if unset) and echo the effective parameters into it first."""
     stream = open(target, "w", encoding="utf-8", newline="") if target else None
     with stream or contextlib.nullcontext(sys.stdout) as fh:
-        for name in _ALL_FIELDS:
-            value = getattr(p, name)
-            if value is not None:
-                fh.write(f"# {name} = {_fmt(value)}\n")
+        echo = {name: value for name in _ALL_FIELDS if (value := getattr(p, name)) is not None}
+        fh.write(_flat_text(echo, prefix="# "))
         yield fh
 
 
@@ -124,24 +124,19 @@ def _value_fn(
 
 
 def cmd_barriers(args: argparse.Namespace, p: ModelParams) -> int:
-    e = closed_form.exponents(p)
+    record = asdict(closed_form.exponents(p))
     optima = {"0": _value_fn("unconstrained", p)}
     if p.alpha1 is not None:
         optima["1"] = _value_fn("solvency", p)
     if p.kappa is not None:
         optima["2"] = _value_fn("injection", p)
-    lines = [
-        f"sigma_tilde_sq = {_fmt(e.sigma_tilde_sq)}",
-        f"zeta1 = {_fmt(e.zeta1)}",
-        f"zeta2 = {_fmt(e.zeta2)}",
-    ]
     for star, fn in optima.items():
-        lines.append(f"beta{star}_star = {_fmt(fn.beta)}")
+        record[f"beta{star}_star"] = fn.beta
         if fn.kappa is not None:  # only the injection problem has a ray to report
-            lines.append(f"gamma_star = {_fmt(fn.gamma)}")
-        lines.append(f"value_at_beta{star} = {_fmt(fn.value_at_barrier())}")
+            record["gamma_star"] = fn.gamma
+        record[f"value_at_beta{star}"] = fn.value_at_barrier()
     with _open_output(args.output, p) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_flat_text(record))
     return 0
 
 
@@ -168,22 +163,12 @@ def cmd_value(args: argparse.Namespace, p: ModelParams) -> int:
         branch = "below-injection"
     else:
         branch = "continuation"
-    lines = [
-        f"problem = {args.problem}",
-        f"x1 = {_fmt(x1)}",
-        f"x2 = {_fmt(x2)}",
-        f"beta = {_fmt(fn.beta)}",
-    ]
+    record = {"problem": args.problem, "x1": x1, "x2": x2, "beta": fn.beta}
     if fn.kappa is not None:
-        lines.append(f"gamma = {_fmt(fn.gamma)}")
-    lines += [
-        f"value = {_fmt(value)}",
-        f"branch = {branch}",
-        f"dvalue_dx1 = {_fmt(d1)}",
-        f"dvalue_dx2 = {_fmt(d2)}",
-    ]
+        record["gamma"] = fn.gamma
+    record.update(value=value, branch=branch, dvalue_dx1=d1, dvalue_dx2=d2)
     with _open_output(args.output, p) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_flat_text(record))
     return 0
 
 
@@ -204,32 +189,27 @@ def cmd_simulate(args: argparse.Namespace, p: ModelParams) -> int:
         policy_a, cf_a = _build_policy(args, p)
         policy_b, cf_b = _build_policy(args, p, suffix="_b")
         paired = simulate.paired_compare(cfg, policy_a, policy_b, p)
+        record = {"policy_a": policy_a, "policy_b": policy_b,
+                  "mean_diff": paired.mean_diff, "se_diff": paired.se_diff}
+        for tag, res, cf in (("a", paired.result_a, cf_a), ("b", paired.result_b, cf_b)):
+            s = res.summary
+            record[f"mean_pv_dividends_{tag}"] = s.mean_pv_dividends
+            record[f"cv_pv_dividends_{tag}"] = s.cv_pv_dividends
+            record[f"mean_ruin_time_censored_{tag}"] = s.mean_ruin_time_censored
+            record[f"closed_form_value_{tag}"] = cf
         with _open_output(args.output, p) as fh:
             simulate.write_paired_csv(paired, fh)
-            fh.write("\n")
-            fh.write(f"policy_a = {policy_a!r}\n")
-            fh.write(f"policy_b = {policy_b!r}\n")
-            fh.write(f"mean_diff = {_fmt(paired.mean_diff)}\n")
-            fh.write(f"se_diff = {_fmt(paired.se_diff)}\n")
-            for tag, res, cf in (("a", paired.result_a, cf_a), ("b", paired.result_b, cf_b)):
-                s = res.summary
-                fh.write(f"mean_pv_dividends_{tag} = {_fmt(s.mean_pv_dividends)}\n")
-                fh.write(f"cv_pv_dividends_{tag} = {_fmt(s.cv_pv_dividends)}\n")
-                fh.write(f"mean_ruin_time_censored_{tag} = {_fmt(s.mean_ruin_time_censored)}\n")
-                fh.write(f"closed_form_value_{tag} = {_fmt(cf)}\n")
+            fh.write("\n" + _flat_text(record))
         return 0
     policy, cf_value = _build_policy(args, p)
     result = simulate.simulate_paths(cfg, policy, p)
     s = result.summary  # without injections the net fields equal the dividend ones bit for bit
     z = (s.mean_net_value - cf_value) / s.se_net_value if s.se_net_value > 0.0 else float("nan")
+    record = {"policy": policy, **asdict(s), "closed_form_value": cf_value,
+              "z_score_vs_closed_form": z}
     with _open_output(args.output, p) as fh:
         simulate.write_paths_csv(result, fh)
-        fh.write("\n")
-        fh.write(f"policy = {policy!r}\n")
-        for line in simulate.summary_lines(s):
-            fh.write(line + "\n")
-        fh.write(f"closed_form_value = {_fmt(cf_value)}\n")
-        fh.write(f"z_score_vs_closed_form = {_fmt(z)}\n")
+        fh.write("\n" + _flat_text(record))
     return 0
 
 
@@ -271,7 +251,7 @@ def cmd_sweep(args: argparse.Namespace, p: ModelParams) -> int:
             pk = replace(p, sigma_A=float(sigma_a))
             try:
                 kappa_star = injections.breakeven_kappa(pk)
-            except NumericalError:
+            except NoBreakeven:
                 rows.append(f"{_fmt(sigma_a)},,")  # no breakeven in the searched range
                 continue
             rows.append(
@@ -369,10 +349,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Write ``--flag -1e-3`` as ``--flag=-1e-3``.
+
+    argparse reads a token such as ``-1e-3``, ``-2.`` or ``-inf`` as an option, not a value.
+    """
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if flag.startswith("--") and "=" not in flag and token.startswith("-") and _is_number(token):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1

@@ -106,9 +106,12 @@ def psi(beta: float, gamma: float, p: ModelParams) -> float:
         raise DomainError(f"beta = {beta!r} must be >= gamma = {gamma!r}")
     e = exponents(p)
     z1, z2 = e.zeta1, e.zeta2
-    term1 = kappa * (z1 - z2) * _rpow(gamma, 1.0 - z2) * _rpow(beta, z1)
-    term2 = (z2 - 1.0) * _rpow(gamma, z1 - z2) * beta
-    term3 = (1.0 - z1) * _rpow(beta, 1.0 + z1 - z2)
+    try:
+        term1 = kappa * (z1 - z2) * _rpow(gamma, 1.0 - z2) * _rpow(beta, z1)
+        term2 = (z2 - 1.0) * _rpow(gamma, z1 - z2) * beta
+        term3 = (1.0 - z1) * _rpow(beta, 1.0 + z1 - z2)
+    except OverflowError:
+        raise NumericalError(f"psi overflows at beta = {beta!r}, gamma = {gamma!r}") from None
     return z1 * (term1 + term2 + term3)
 
 

@@ -1,4 +1,4 @@
-"""Model parameters, their invariants, and flat key-value config files.
+"""Model parameters, their invariants, and the flat ``key = value`` text format.
 
 The firm holds assets X1 and liabilities X2, each geometric Brownian motion:
 
@@ -19,6 +19,7 @@ included.  Boundary values are rejected, not clamped: the model degenerates at
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Mapping
@@ -163,3 +164,25 @@ def read_params_file(path: str | Path) -> dict[str, float]:
         except ValueError:
             raise ParameterError(key, value.strip(), "value must be a decimal number") from None
     return out
+
+
+def _fmt(x: float) -> str:
+    return format(x, ".17g")
+
+
+def _render(value: object) -> str:
+    """One value of a flat line: floats to 17 significant digits, flags as true/false."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
+        return _fmt(value)
+    return str(value)
+
+
+def _flat_text(record: Mapping[str, object], prefix: str = "") -> str:
+    """Render ``record`` in order as ``key = value`` lines, each ending in a newline.
+
+    The inverse of :func:`read_params_file` for the numbers it writes: a float
+    read back from its line is the same float.
+    """
+    return "".join(f"{prefix}{key} = {_render(value)}\n" for key, value in record.items())

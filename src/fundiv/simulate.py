@@ -38,14 +38,14 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
 from typing import IO, Union
 
 import numpy as np
 
 from .errors import ConfigError, EmptyInput
-from .params import ModelParams, require_kappa
+from .params import ModelParams, _fmt, require_kappa
 
 __all__ = [
     "UnconstrainedBarrier",
@@ -61,7 +61,6 @@ __all__ = [
     "summarize",
     "write_paths_csv",
     "write_paired_csv",
-    "summary_lines",
 ]
 
 #: Scalar count that bounds one tile's two growth-factor buffers (a memory knob).
@@ -492,10 +491,6 @@ def paired_compare(
     )
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _write_csv(fh: IO[str], header: str, columns: tuple[np.ndarray, ...]) -> None:
     """Write ``path_index`` and the columns, one row per path: floats via ``_fmt``, flags 0/1."""
     fh.write(f"path_index,{header}\n")
@@ -523,16 +518,3 @@ def write_paired_csv(paired: PairedComparison, fh: IO[str]) -> None:
          a.ruin_time, b.ruin_time, a.censored, b.censored),
     )
 
-
-def summary_lines(summary: SimSummary) -> list[str]:
-    """Flat ``key = value`` rendering of a summary, 17 significant digits."""
-    out = []
-    for f in fields(summary):
-        value = getattr(summary, f.name)
-        if isinstance(value, bool):
-            out.append(f"{f.name} = {str(value).lower()}")
-        elif isinstance(value, int):
-            out.append(f"{f.name} = {value}")
-        else:
-            out.append(f"{f.name} = {_fmt(value)}")
-    return out

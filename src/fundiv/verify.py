@@ -33,7 +33,7 @@ import numpy as np
 from .closed_form import closed_form_value, constrained_barrier_beta1, optimal_barrier_beta0
 from .errors import DomainError, SeamError
 from .injections import double_barrier_value, optimal_barrier_beta2
-from .params import ModelParams, require_alpha1, require_kappa
+from .params import ModelParams, _flat_text, _render, require_alpha1, require_kappa
 
 __all__ = [
     "GridSpec",
@@ -91,21 +91,15 @@ class VerificationReport:
     passed: bool
 
     def to_text(self) -> str:
-        lines = [
-            f"problem = {self.problem}",
-            f"barrier = {self.barrier:.17g}",
-            f"mode = {self.mode}",
-            f"grid = [{self.grid_spec.ratio_lo:.17g}, {self.grid_spec.ratio_hi:.17g}] "
-            f"x {self.grid_spec.n_points} (log)",
-        ]
-        for c in self.condition_results:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(
-                f"{c.condition_id}: worst = {c.worst_violation:.6e} at r = {c.location:.9g} "
-                f"(tol = {c.tolerance:.1e}) {status}"
-            )
-        lines.append(f"passed = {str(self.passed).lower()}")
-        return "\n".join(lines)
+        g = self.grid_spec
+        grid = f"[{_render(g.ratio_lo)}, {_render(g.ratio_hi)}] x {g.n_points} (log)"
+        head = {"problem": self.problem, "barrier": self.barrier, "mode": self.mode, "grid": grid}
+        conditions = "".join(
+            f"{c.condition_id}: worst = {c.worst_violation:.6e} at r = {c.location:.9g} "
+            f"(tol = {c.tolerance:.1e}) {'PASS' if c.passed else 'FAIL'}\n"
+            for c in self.condition_results
+        )
+        return (_flat_text(head) + conditions + _flat_text({"passed": self.passed}))[:-1]
 
 
 def _steps(x1, x2):

@@ -14,10 +14,14 @@ import pytest
 import fundiv
 from fundiv import (
     DoubleBarrier,
+    ModelParams,
     SimConfig,
+    SimSummary,
     SolvencyConstrained,
+    UnconstrainedBarrier,
     constrained_barrier_beta1,
     optimal_barrier_beta2,
+    simulate_paths,
     value_injections,
     value_unconstrained,
 )
@@ -39,6 +43,17 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     out, err = capsys.readouterr()
     return rc, out, err
+
+
+def keys(text):
+    """The keys of the 'key = value' lines of an output, in order, skipping comments and CSV."""
+    return [line.partition(" = ")[0] for line in text.splitlines()
+            if " = " in line and not line.startswith("#")]
+
+
+def echo_keys(text):
+    """The keys of the '# key = value' parameter echo, in order."""
+    return [line[2:].partition(" = ")[0] for line in text.splitlines() if line.startswith("# ")]
 
 
 def kv(text):
@@ -193,6 +208,7 @@ def test_value_overflow_exits_3(capsys, p1_config):
     ("--x1", ("--x1", "nan", "--x2", "1.0")),
     ("--x2", ("--x1", "2.0", "--x2=-inf")),
     ("--scale", ("--x1", "2.0", "--x2", "1.0", "--scale", "inf")),
+    ("--x2", ("--x1", "2.0", "--x2", "-inf")),
 ])
 def test_value_non_finite_point_exits_2(capsys, p1_config, flag, point):
     rc, out, err = run_cli(
@@ -226,6 +242,10 @@ def test_infinite_parameter_exits_1(capsys, p1_config, tmp_path):
     rc, out, err = run_cli(capsys, "barriers", "--config", str(cfg))
     assert (rc, out) == (1, "")
     assert err == "error: sigma_A = inf violates requirement: sigma_A must be finite\n"
+
+    rc, out, err = run_cli(capsys, "barriers", "--config", p1_config, "--mu_L", "-inf")
+    assert (rc, out) == (1, "")
+    assert err == "error: mu_L = -inf violates requirement: mu_L must be finite\n"
 
 
 def test_value_injection_needs_kappa(capsys, p1_config):
@@ -322,6 +342,14 @@ def test_simulate_config_errors_exit_1(capsys, p1_config):
     )
     assert rc == 1
     assert "policy_b" in err
+
+    rc, out, _ = run_cli(  # a switch takes no value, negative or not
+        capsys, "simulate", "--config", p1_config,
+        "--policy", "unconstrained", "--x1_0", "2.0", "--x2_0", "1.0",
+        "--dt", "0.25", "--horizon_T", "1.0", "--n_paths", "4", "--seed", "4",
+        "--antithetic", "-1",
+    )
+    assert (rc, out) == (1, "")
 
 
 SIM_RUN = ("--x1_0", "2.0", "--x2_0", "1.0", "--dt", "0.25", "--horizon_T", "1.0",
@@ -593,3 +621,135 @@ def test_module_entry_point(p1_config):
     )
     assert proc.returncode == 0
     assert "beta0_star = " in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# The shape of every 'key = value' block
+
+SUMMARY_KEYS = [f.name for f in fields(SimSummary)]
+
+
+@pytest.mark.parametrize("extra, optional", [
+    ((), []),
+    (("--kappa", "1.05"), ["kappa"]),
+    (("--kappa", "1.05", "--alpha1", "1.2"), ["alpha1", "kappa"]),
+])
+def test_parameter_echo_lists_the_set_fields_in_model_order(capsys, tmp_path, extra, optional):
+    cfg = tmp_path / "reversed.cfg"
+    cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in reversed(P1.items())), encoding="utf-8")
+    rc, out, _ = run_cli(capsys, "barriers", "--config", str(cfg), *extra)
+    assert rc == 0
+    order = [f.name for f in fields(ModelParams)]
+    assert echo_keys(out) == [name for name in order if name in P1 or name in optional]
+    assert out.startswith("# mu_A = 0.050000000000000003\n")
+
+
+@pytest.mark.parametrize("extra, optima", [
+    ((), ["beta0_star", "value_at_beta0"]),
+    (("--alpha1", "1.2"), ["beta0_star", "value_at_beta0", "beta1_star", "value_at_beta1"]),
+    (("--kappa", "1.05"),
+     ["beta0_star", "value_at_beta0", "beta2_star", "gamma_star", "value_at_beta2"]),
+])
+def test_barriers_keys(capsys, p1_config, extra, optima):
+    rc, out, _ = run_cli(capsys, "barriers", "--config", p1_config, *extra)
+    assert rc == 0
+    assert keys(out) == ["sigma_tilde_sq", "zeta1", "zeta2", *optima]
+
+
+@pytest.mark.parametrize("problem", ["unconstrained", "solvency", "injection"])
+def test_value_keys(capsys, p1_config, problem):
+    rc, out, _ = run_cli(capsys, "value", "--config", p1_config, "--alpha1", "1.2",
+                         "--kappa", "1.05", "--problem", problem, "--x1", "2", "--x2", "1")
+    assert rc == 0
+    ray = ["gamma"] if problem == "injection" else []
+    assert keys(out) == ["problem", "x1", "x2", "beta", *ray,
+                         "value", "branch", "dvalue_dx1", "dvalue_dx2"]
+    assert kv(out)["problem"] == problem
+
+
+def test_simulate_summary_block_keys_flags_and_round_trip(capsys, p1_config):
+    rc, out, _ = run_cli(
+        capsys, "simulate", "--config", p1_config, "--policy", "unconstrained", "--beta", "1.5",
+        "--x1_0", "2.0", "--x2_0", "1.0", "--dt", "0.25", "--horizon_T", "2.0",
+        "--n_paths", "8", "--seed", "99",
+    )
+    assert rc == 0
+    names = keys(out)
+    assert names == ["policy", *SUMMARY_KEYS, "closed_form_value", "z_score_vs_closed_form"]
+    assert len(SUMMARY_KEYS) == 13 and names[1] == "n_paths"
+    values = kv(out)
+    assert values["n_paths"] == "8"
+    cfg = SimConfig(x1_0=2.0, x2_0=1.0, dt=0.25, horizon_T=2.0, n_paths=8, seed=99)
+    summary = simulate_paths(cfg, UnconstrainedBarrier(beta=1.5), make_params()).summary
+    for name in SUMMARY_KEYS:
+        expected = getattr(summary, name)
+        if isinstance(expected, bool):
+            assert values[name] == ("true" if expected else "false"), name
+        elif math.isnan(expected):
+            assert values[name] == "nan", name
+        else:
+            assert float(values[name]) == expected, name  # 17 digits round-trip
+
+
+def test_simulate_paired_block_keys(capsys, p1_config):
+    rc, out, _ = run_cli(
+        capsys, "simulate", "--config", p1_config, "--policy", "unconstrained",
+        "--paired", "--policy_b", "unconstrained", "--beta_b", "2.5", *SIM_RUN,
+    )
+    assert rc == 0
+    per_arm = ["mean_pv_dividends", "cv_pv_dividends", "mean_ruin_time_censored",
+               "closed_form_value"]
+    assert keys(out) == ["policy_a", "policy_b", "mean_diff", "se_diff",
+                         *(f"{key}_{tag}" for tag in "ab" for key in per_arm)]
+
+
+# ---------------------------------------------------------------------------
+# Negative flag values and numerical failures
+
+@pytest.mark.parametrize("flag, value", [
+    ("mu_L", "-1e-3"), ("mu_L", "-2."), ("mu_L", "-1E2"), ("mu_L", "-0.01"), ("rho", "-5e-1"),
+])
+def test_negative_value_in_any_float_form_reaches_the_program(capsys, p1_config, flag, value):
+    joined = run_cli(capsys, "barriers", "--config", p1_config, f"--{flag}={value}")
+    spaced = run_cli(capsys, "barriers", "--config", p1_config, f"--{flag}", value)
+    assert spaced == joined
+    rc, out, err = spaced
+    assert (rc, err) == (0, "")
+    assert kv(out.replace("# ", ""))[flag] == format(float(value), ".17g")
+
+
+# psi's powers of beta overflow on this valid set (zeta1 ~ -1011, alpha0 ~ 0.0036).
+PSI_OVERFLOW = dict(
+    mu_A=0.44869723100587794, mu_L=0.4387518284798846, sigma_A=0.0012974440670251866,
+    sigma_L=0.0038951674803763456, rho=-0.279192758402081, delta=0.44873372196967615,
+    alpha0=0.003643519668279969,
+)
+# beta2*'s bracket fails on this set: psi just above alpha0 reads -0.0.
+NO_BRACKET = dict(
+    mu_A=-0.24258647357075377, mu_L=-0.46145861051615045, sigma_A=0.00287457527431201,
+    sigma_L=0.011219668493694213, rho=0.9823890196369006, delta=1.981083166859843e-06,
+    alpha0=22.832203961460266,
+)
+
+
+def _flags(params):
+    return [f"--{key}={value!r}" for key, value in params.items()]
+
+
+@pytest.mark.parametrize("argv", [
+    ("barriers",),
+    ("value", "--problem", "injection", "--x1", "0.01", "--x2", "1"),
+    ("verify", "--problem", "injection"),
+    ("sweep", "--kind", "breakeven", "--steps", "3"),
+], ids=lambda argv: argv[0])
+def test_psi_overflow_exits_3_naming_psi(capsys, argv):
+    rc, out, err = run_cli(capsys, argv[0], *_flags(PSI_OVERFLOW), "--kappa", "1.05", *argv[1:])
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: psi overflows at beta = ") and "gamma = " in err
+
+
+def test_sweep_breakeven_reports_a_failed_search(capsys):
+    rc, out, err = run_cli(capsys, "sweep", *_flags(NO_BRACKET), "--kind", "breakeven",
+                           "--steps", "3")
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: psi(22.83") and "is not positive" in err

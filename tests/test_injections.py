@@ -242,3 +242,17 @@ def test_breakeven_no_root_below_cap_raises():
     p = make_params()
     with pytest.raises(NoBreakeven):
         breakeven_kappa(p, kappa_cap=1.2)  # kappa* ~ 1.33 lies above this cap
+
+
+def test_psi_overflow_names_beta_and_gamma():
+    # zeta1 ~ -1011 and alpha0 ~ 0.0036: beta**zeta1 overflows a float just above alpha0.
+    p = make_params(
+        mu_A=0.44869723100587794, mu_L=0.4387518284798846, sigma_A=0.0012974440670251866,
+        sigma_L=0.0038951674803763456, rho=-0.279192758402081, delta=0.44873372196967615,
+        alpha0=0.003643519668279969, kappa=1.05,
+    )
+    beta = p.alpha0 * (1.0 + 1e-12)
+    with pytest.raises(NumericalError, match=f"psi overflows at beta = {beta!r}, gamma = "):
+        psi(beta, p.alpha0, p)
+    with pytest.raises(NumericalError, match="psi overflows"):
+        optimal_barrier_beta2(p)

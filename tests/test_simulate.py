@@ -24,7 +24,6 @@ from fundiv import (
     simulate,
     simulate_paths,
     summarize,
-    summary_lines,
     write_paired_csv,
     write_paths_csv,
 )
@@ -531,14 +530,3 @@ def test_paired_csv_round_trips():
                 assert cell == ("1" if col[i] else "0")
             else:
                 assert float(cell) == col[i]
-
-
-def test_summary_lines_format():
-    p = make_params()
-    result = simulate_paths(BASE_CFG, UnconstrainedBarrier(beta=1.5), p)
-    lines = summary_lines(result.summary)
-    assert len(lines) == 13
-    assert lines[0] == f"n_paths = {BASE_CFG.n_paths}"
-    as_dict = dict(line.split(" = ") for line in lines)
-    assert as_dict["cv_pv_dividends_defined"] in ("true", "false")
-    assert float(as_dict["mean_pv_dividends"]) == result.summary.mean_pv_dividends

@@ -230,6 +230,8 @@ def test_report_to_text_shape():
         assert "(tol = " in line
         assert line.endswith("PASS")
     assert lines[-1] == "passed = true"
+    assert not text.endswith("\n")
+    assert float(lines[1].partition(" = ")[2]) == report.barrier  # 17 digits round-trip
 
     bad = check_solvency_lemma(solvency_params(), barrier=2.0 * P1["alpha0"])
     bad_text = bad.to_text()
