@@ -15,18 +15,18 @@ slope one (pay the overshoot immediately).  The value is a
 ruin-stopped value.
 
 Scaling both barriers by the same factor scales the value, so the optimal
-injection ray is the lowest admissible one, gamma* = alpha0.  The optimal
-payout barrier beta2* is the unique root in beta of the score
+injection ray is the lowest admissible one, gamma* = alpha0.  The band is
+optimal exactly when the ratio t = beta/gamma satisfies kappa(t) = kappa,
 
-    psi(beta) = zeta1 * ( kappa (zeta1 - zeta2) gamma^(1-zeta2) beta^zeta1
-                          + (zeta2 - 1) gamma^(zeta1-zeta2) beta
-                          + (1 - zeta1) beta^(1+zeta1-zeta2) ),
+    kappa(t) = ((1 - zeta1) t^(1-zeta2) + (zeta2 - 1) t^(1-zeta1)) / (zeta2 - zeta1),
 
-which is positive at beta = gamma, strictly decreasing, and negative for
-large beta; vanishing psi is equivalent to the smooth-fit condition (zero
-one-sided second derivative) at beta2*.  Inverting the same relation gives
-the injection cost that makes a given barrier pair optimal, which is used
-both for round-trip testing and for break-even analysis.
+the smooth-fit condition (zero one-sided second derivative) at beta.  As
+kappa(1) = 1 and kappa(t) increases without bound, the score psi = kappa -
+kappa(t) is positive at beta = gamma, strictly decreasing, and has a unique
+root beta2*.  It is the four-power score of beta and gamma divided by the
+positive factor zeta1 (zeta1 - zeta2) gamma^(1+zeta1-zeta2) t^zeta1.  The same
+kappa(t) gives the injection cost that makes a given barrier pair optimal,
+which is used both for round-trip testing and for break-even analysis.
 """
 
 from __future__ import annotations
@@ -93,26 +93,29 @@ def value_injections(x1: float, x2: float, beta: float, gamma: float, p: ModelPa
     return double_barrier_value(beta, gamma, p).evaluate(x1, x2)
 
 
-def psi(beta: float, gamma: float, p: ModelParams) -> float:
-    """Optimality score whose unique root in ``beta`` is the best payout barrier.
+def _kappa_of_ratio(t: float, p: ModelParams) -> float:
+    """kappa(t) for t >= 1; both terms are positive, so they never cancel."""
+    e = exponents(p)
+    z1, z2 = e.zeta1, e.zeta2
+    return ((1.0 - z1) * _rpow(t, 1.0 - z2) + (z2 - 1.0) * _rpow(t, 1.0 - z1)) / (z2 - z1)
 
-    Positive at beta = gamma (for kappa > 1), strictly decreasing, negative
-    for large beta.  Each power is evaluated in log space.
+
+def psi(beta: float, gamma: float, p: ModelParams) -> float:
+    """Optimality score kappa - kappa(beta/gamma), whose unique root in ``beta``
+    is the best payout barrier.
+
+    Equal to kappa - 1 > 0 at beta = gamma, strictly decreasing, and -inf
+    where kappa(t) leaves float range.
     """
     kappa = require_kappa(p)
     if not gamma >= p.alpha0:
         raise DomainError(f"gamma = {gamma!r} must be >= alpha0 = {p.alpha0!r}")
     if not beta >= gamma:
         raise DomainError(f"beta = {beta!r} must be >= gamma = {gamma!r}")
-    e = exponents(p)
-    z1, z2 = e.zeta1, e.zeta2
     try:
-        term1 = kappa * (z1 - z2) * _rpow(gamma, 1.0 - z2) * _rpow(beta, z1)
-        term2 = (z2 - 1.0) * _rpow(gamma, z1 - z2) * beta
-        term3 = (1.0 - z1) * _rpow(beta, 1.0 + z1 - z2)
+        return kappa - _kappa_of_ratio(beta / gamma, p)
     except OverflowError:
-        raise NumericalError(f"psi overflows at beta = {beta!r}, gamma = {gamma!r}") from None
-    return z1 * (term1 + term2 + term3)
+        return -math.inf
 
 
 def optimal_barrier_beta2(p: ModelParams) -> float:
@@ -154,20 +157,12 @@ def optimal_barrier_beta2(p: ModelParams) -> float:
 
 
 def kappa_from_barrier(beta: float, gamma: float, p: ModelParams) -> float:
-    """Injection cost for which the pair (beta, gamma) is the optimal band.
-
-    Inverts the root condition psi(beta; gamma, kappa) = 0 for kappa:
-
-        kappa = ((zeta1 - 1) - (zeta2 - 1) t^(zeta2 - zeta1))
-                / ((zeta1 - zeta2) t^(zeta2 - 1)),       t = beta / gamma > 1.
-
-    ``p.kappa`` itself is ignored; only the market parameters enter.
+    """Injection cost kappa(beta/gamma) for which the pair (beta, gamma) is the
+    optimal band; +inf at beta = inf, ``OverflowError`` where it leaves float
+    range.  ``p.kappa`` itself is ignored; only the market parameters enter.
     """
     _check_band(beta, gamma, p)
-    e = exponents(p)
-    z1, z2 = e.zeta1, e.zeta2
-    t = beta / gamma
-    return ((z1 - 1.0) - (z2 - 1.0) * _rpow(t, z2 - z1)) / ((z1 - z2) * _rpow(t, z2 - 1.0))
+    return _kappa_of_ratio(beta / gamma, p)
 
 
 def _value_at_floor(p: ModelParams, kappa: float) -> float:

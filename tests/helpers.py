@@ -140,3 +140,26 @@ def solve_band_coefficients(beta: float, gamma: float, p: ModelParams) -> tuple[
     rhs = np.array([1.0, p.kappa])
     c1, c2 = np.linalg.solve(lhs, rhs)
     return float(c1), float(c2)
+
+
+def psi_four_powers(beta: float, gamma: float, p: ModelParams) -> tuple[float, float]:
+    """Reference for the payout-barrier score as four powers of beta and gamma.
+
+    Returns the score
+
+        zeta1 (kappa (zeta1 - zeta2) gamma^(1-zeta2) beta^zeta1
+               + (zeta2 - 1) gamma^(zeta1-zeta2) beta + (1 - zeta1) beta^(1+zeta1-zeta2)),
+
+    which is psi times the positive factor zeta1 (zeta1 - zeta2)
+    gamma^(1+zeta1-zeta2) t^zeta1 with t = beta/gamma, and the sum of its
+    terms' magnitudes.
+    Raises ``OverflowError`` where a power leaves float range.
+    """
+    e = exponents(p)
+    z1, z2 = e.zeta1, e.zeta2
+    terms = (
+        p.kappa * (z1 - z2) * gamma ** (1.0 - z2) * beta**z1,
+        (z2 - 1.0) * gamma ** (z1 - z2) * beta,
+        (1.0 - z1) * beta ** (1.0 + z1 - z2),
+    )
+    return z1 * sum(terms), abs(z1) * sum(abs(term) for term in terms)

@@ -13,6 +13,7 @@ import pytest
 
 import fundiv
 from fundiv import (
+    BracketFailure,
     DoubleBarrier,
     ModelParams,
     SimConfig,
@@ -20,6 +21,8 @@ from fundiv import (
     SolvencyConstrained,
     UnconstrainedBarrier,
     constrained_barrier_beta1,
+    injections,
+    kappa_from_barrier,
     optimal_barrier_beta2,
     simulate_paths,
     value_injections,
@@ -718,13 +721,16 @@ def test_negative_value_in_any_float_form_reaches_the_program(capsys, p1_config,
     assert kv(out.replace("# ", ""))[flag] == format(float(value), ".17g")
 
 
-# psi's powers of beta overflow on this valid set (zeta1 ~ -1011, alpha0 ~ 0.0036).
+# Valid sets with a large |zeta1|, where the score psi once left float range
+# although beta2* exists; t* = beta2*/alpha0 is 1.00947 and 1.000915.
+# zeta1 ~ -1011 and alpha0 ~ 0.0036: beta**zeta1 alone overflowed a float.
 PSI_OVERFLOW = dict(
     mu_A=0.44869723100587794, mu_L=0.4387518284798846, sigma_A=0.0012974440670251866,
     sigma_L=0.0038951674803763456, rho=-0.279192758402081, delta=0.44873372196967615,
     alpha0=0.003643519668279969,
 )
-# beta2*'s bracket fails on this set: psi just above alpha0 reads -0.0.
+# zeta1 ~ -6186 and alpha0 ~ 22.8: the four-power score underflowed to -0.0
+# just above alpha0, so beta2*'s bracket failed.
 NO_BRACKET = dict(
     mu_A=-0.24258647357075377, mu_L=-0.46145861051615045, sigma_A=0.00287457527431201,
     sigma_L=0.011219668493694213, rho=0.9823890196369006, delta=1.981083166859843e-06,
@@ -736,6 +742,10 @@ def _flags(params):
     return [f"--{key}={value!r}" for key, value in params.items()]
 
 
+def _breakeven_rows(out):
+    return [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+
+
 @pytest.mark.parametrize("argv", [
     ("barriers",),
     ("value", "--problem", "injection", "--x1", "0.01", "--x2", "1"),
@@ -743,13 +753,44 @@ def _flags(params):
     ("sweep", "--kind", "breakeven", "--steps", "3"),
 ], ids=lambda argv: argv[0])
 def test_psi_overflow_exits_3_naming_psi(capsys, argv):
+    # The name predates psi = kappa - kappa(t): every command on this set succeeds.
     rc, out, err = run_cli(capsys, argv[0], *_flags(PSI_OVERFLOW), "--kappa", "1.05", *argv[1:])
-    assert (rc, out) == (3, "")
-    assert err.startswith("error: psi overflows at beta = ") and "gamma = " in err
+    assert (rc, err) == (0, "")
+    values = kv(out)
+    if argv[0] == "barriers":
+        assert float(values["beta2_star"]) / PSI_OVERFLOW["alpha0"] == pytest.approx(
+            1.00947, abs=1e-5
+        )
+    elif argv[0] == "value":
+        assert math.isfinite(float(values["value"]))
+    elif argv[0] == "verify":
+        assert values["passed"] == "true"
+    else:
+        rows = _breakeven_rows(out)
+        assert len(rows) == 3 and all(len(row) == 3 for row in rows)
 
 
-def test_sweep_breakeven_reports_a_failed_search(capsys):
+def test_no_bracket_set_solves_beta2_and_reports_no_breakeven(capsys):
+    rc, out, err = run_cli(capsys, "barriers", *_flags(NO_BRACKET), "--kappa", "1.05")
+    assert (rc, err) == (0, "")
+    p = make_params(**NO_BRACKET, kappa=1.05)
+    beta2 = float(kv(out)["beta2_star"])
+    assert beta2 / p.alpha0 == pytest.approx(1.000915, abs=1e-6)
+    assert kappa_from_barrier(beta2, p.alpha0, p) == pytest.approx(1.05, rel=1e-9)
+
     rc, out, err = run_cli(capsys, "sweep", *_flags(NO_BRACKET), "--kind", "breakeven",
                            "--steps", "3")
+    assert (rc, err) == (0, "")
+    rows = _breakeven_rows(out)
+    assert len(rows) == 3 and all(row[1:] == ["", ""] for row in rows)
+
+
+def test_sweep_breakeven_reports_a_failed_search(capsys, monkeypatch):
+    # Only NoBreakeven blanks a row; any other failure of the search ends the sweep.
+    def fail(p, kappa_cap=1e3):
+        raise BracketFailure("psi(1.0) = -0.0 is not positive; no root bracket just above alpha0")
+
+    monkeypatch.setattr(injections, "breakeven_kappa", fail)
+    rc, out, err = run_cli(capsys, "sweep", *_flags(P1), "--kind", "breakeven", "--steps", "3")
     assert (rc, out) == (3, "")
-    assert err.startswith("error: psi(22.83") and "is not positive" in err
+    assert err.startswith("error: psi(1.0) = -0.0 is not positive")

@@ -7,12 +7,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fundiv import (
     DomainError,
     NoBreakeven,
     NumericalError,
     breakeven_kappa,
+    check_injection_lemma,
     double_barrier_value,
     kappa_from_barrier,
     optimal_barrier_beta2,
@@ -21,7 +24,7 @@ from fundiv import (
     value_unconstrained,
 )
 from fundiv.injections import _value_at_floor
-from helpers import P1, make_params, random_params, solve_band_coefficients
+from helpers import P1, make_params, psi_four_powers, random_params, solve_band_coefficients
 
 # Frozen values for the baseline set with kappa = 1.05.
 P1_BETA2 = 1.8110002691689329
@@ -245,14 +248,46 @@ def test_breakeven_no_root_below_cap_raises():
 
 
 def test_psi_overflow_names_beta_and_gamma():
-    # zeta1 ~ -1011 and alpha0 ~ 0.0036: beta**zeta1 overflows a float just above alpha0.
+    # The name predates psi = kappa - kappa(t).  zeta1 ~ -1011 and alpha0 ~
+    # 0.0036: beta**zeta1 leaves float range just above alpha0, kappa(t) does not.
     p = make_params(
         mu_A=0.44869723100587794, mu_L=0.4387518284798846, sigma_A=0.0012974440670251866,
         sigma_L=0.0038951674803763456, rho=-0.279192758402081, delta=0.44873372196967615,
         alpha0=0.003643519668279969, kappa=1.05,
     )
-    beta = p.alpha0 * (1.0 + 1e-12)
-    with pytest.raises(NumericalError, match=f"psi overflows at beta = {beta!r}, gamma = "):
-        psi(beta, p.alpha0, p)
-    with pytest.raises(NumericalError, match="psi overflows"):
-        optimal_barrier_beta2(p)
+    near = psi(p.alpha0 * (1.0 + 1e-12), p.alpha0, p)
+    assert math.isfinite(near) and near > 0.0
+    assert psi(p.alpha0 * 1e10, p.alpha0, p) == -math.inf
+    b2 = optimal_barrier_beta2(p)
+    assert b2 / p.alpha0 == pytest.approx(1.00947, abs=1e-5)
+    assert kappa_from_barrier(b2, p.alpha0, p) == pytest.approx(1.05, rel=1e-9)
+    assert check_injection_lemma(p).passed
+
+
+def test_infinite_barrier_costs_infinity():
+    p = kparams()
+    assert kappa_from_barrier(math.inf, p.alpha0, p) == math.inf
+    assert psi(math.inf, p.alpha0, p) == -math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.floats(1.0, 50.0))
+def test_psi_sign_matches_the_four_power_score(seed, t):
+    p = random_params(np.random.default_rng(seed), with_kappa=True)
+    beta = t * p.alpha0
+    try:
+        reference, scale = psi_four_powers(beta, p.alpha0, p)
+    except OverflowError:
+        return
+    if math.isfinite(reference) and abs(reference) > 1e-9 * scale:
+        assert np.sign(psi(beta, p.alpha0, p)) == np.sign(reference)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_psi_decreases_into_the_overflow_region(seed):
+    p = random_params(np.random.default_rng(seed), with_kappa=True)
+    vals = [psi(b, p.alpha0, p) for b in p.alpha0 * np.geomspace(1.0, 1e305, 400)]
+    first_inf = vals.index(-math.inf)  # raises if the grid never leaves float range
+    assert all(v == -math.inf for v in vals[first_inf:])
+    assert all(b < a for a, b in zip(vals[:first_inf], vals[1:first_inf]))
