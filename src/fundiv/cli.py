@@ -31,7 +31,6 @@ from .errors import (
     NoBreakeven,
     NumericalError,
     ParameterError,
-    SeamError,
 )
 from .params import (
     OPTIONAL_FIELDS,
@@ -384,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParameterError, ConfigError, EmptyInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, SeamError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, OverflowError) as exc:

@@ -114,13 +114,6 @@ class ClosedFormValue:
     A: float
     B: float
 
-    @property
-    def seam_ratios(self) -> tuple[float, ...]:
-        """Funding ratios where the formula switches branch (kinks)."""
-        if self.gamma > self.alpha0:
-            return (self.gamma, self.beta)
-        return (self.beta,)
-
     def _branches(self, x1, x2):
         """(x1, x2) as arrays, the ratio clipped to the band, the slope off the band
         (0 on it) and A u^zeta1, B u^zeta2 at the clipped ratio."""

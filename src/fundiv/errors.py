@@ -19,7 +19,6 @@ __all__ = [
     "InjectionCostTooLow",
     "MissingParameter",
     "DomainError",
-    "SeamError",
     "NumericalError",
     "BracketFailure",
     "NoBreakeven",
@@ -83,10 +82,6 @@ class MissingParameter(ParameterError):
 
 class DomainError(FundivError, ValueError):
     """Arguments fall outside the domain of a closed-form expression."""
-
-
-class SeamError(FundivError, ValueError):
-    """A finite-difference stencil would straddle a barrier kink."""
 
 
 class NumericalError(FundivError, RuntimeError):

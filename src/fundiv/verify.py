@@ -17,10 +17,10 @@ The generator of the asset-liability diffusion acts on smooth f as
 
 Residuals of (A - delta)f are reported relative to the sum of the magnitudes
 of the individual terms, which is the natural scale for a sum that should
-cancel.  Finite-difference mode uses central stencils with relative step
-1e-5 (floored at 1e-9) on the same arrays; grid points whose stencil would
-straddle a barrier kink are shifted off the seam rather than differenced
-across it.
+cancel.  Finite-difference mode uses central stencils on the same arrays,
+with steps 1e-5 relative to each coordinate; a grid point whose stencil
+would straddle the payout barrier moves three stencil widths off it rather
+than being differenced across the kink.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import closed_form_value, constrained_barrier_beta1, optimal_barrier_beta0
-from .errors import DomainError, SeamError
+from .errors import DomainError
 from .injections import double_barrier_value, optimal_barrier_beta2
 from .params import ModelParams, _flat_text, _render, require_alpha1, require_kappa
 
@@ -39,7 +39,6 @@ __all__ = [
     "GridSpec",
     "ConditionResult",
     "VerificationReport",
-    "generator_apply",
     "check_solvency_lemma",
     "check_injection_lemma",
     "check_smooth_fit",
@@ -47,7 +46,6 @@ __all__ = [
 
 N_GRID = 512
 FD_REL_STEP = 1e-5
-FD_MIN_STEP = 1e-9
 TOL_EQUALITY_ANALYTIC = 1e-8
 TOL_EQUALITY_FD = 1e-4
 TOL_INEQUALITY = 1e-10
@@ -103,16 +101,14 @@ class VerificationReport:
 
 
 def _steps(x1, x2):
-    """Central-difference steps at (x1, x2), from the module constants at call time."""
-    return tuple(np.maximum(FD_REL_STEP * np.abs(x), FD_MIN_STEP) for x in (x1, x2))
+    """Central-difference steps at (x1, x2), relative to each coordinate (read at call time)."""
+    return FD_REL_STEP * x1, FD_REL_STEP * x2
 
 
-def _stencil_span(x1, x2, h1, h2):
-    """Range of funding ratios touched by the 9-point central stencil."""
-    lo = (x1 - h1) / (x2 + h2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hi = np.where(x2 - h2 > 0.0, (x1 + h1) / (x2 - h2), math.inf)
-    return lo, hi
+def _stencil_span(r):
+    """Range of funding ratios touched by the 9-point central stencil at (r, 1)."""
+    h1, h2 = _steps(r, 1.0)
+    return (r - h1) / (1.0 + h2), (r + h1) / (1.0 - h2)
 
 
 def _fd_partials(fn, x1, x2):
@@ -135,38 +131,6 @@ def _fd_partials(fn, x1, x2):
     return d1, d2, d11, d22, d12
 
 
-def _partials(fn, x1, x2, mode: str):
-    """Exact branch partials in analytic mode, central differences otherwise."""
-    if mode == "analytic":
-        return fn.partials(x1, x2)
-    return _fd_partials(fn, x1, x2)
-
-
-def generator_apply(fn, x1: float, x2: float, p: ModelParams, mode: str = "analytic") -> float:
-    """Apply the diffusion generator A to the value object ``fn`` at (x1, x2).
-
-    Analytic mode uses the exact branch partials ``fn.partials(x1, x2)``;
-    finite-difference mode uses central differences of ``fn.evaluate`` with
-    the relative step ``FD_REL_STEP`` (floored at ``FD_MIN_STEP``), and a
-    stencil straddling a kink in ``fn.seam_ratios`` raises
-    :class:`SeamError`.  An object without ``partials`` raises
-    :class:`TypeError`.
-    """
-    _tolerances(mode)
-    if not hasattr(fn, "partials"):
-        raise TypeError(f"{fn!r} is not a value object with exact partials")
-    if mode != "analytic":
-        h1, h2 = _steps(x1, x2)
-        lo, hi = _stencil_span(x1, x2, h1, h2)
-        for seam in fn.seam_ratios:
-            if lo <= seam <= hi:
-                raise SeamError(
-                    f"stencil around x1/x2 = {x1 / x2!r} spans [{float(lo)!r}, {float(hi)!r}] "
-                    f"and straddles the kink at {seam!r}"
-                )
-    return sum(_generator_terms(_partials(fn, x1, x2, mode), x1, x2, p))
-
-
 def _generator_terms(partials, x1, x2, p: ModelParams):
     """The five terms of A f at (x1, x2), from the partials of f.
 
@@ -183,27 +147,18 @@ def _generator_terms(partials, x1, x2, p: ModelParams):
     )
 
 
-def _clear_of_seams(r: np.ndarray, seams: tuple[float, ...], lo_limit: float) -> np.ndarray:
-    """Shift each evaluation point (not the stencil) off the first kink its stencil straddles."""
-    for _ in range(8):
-        h1, h2 = _steps(r, 1.0)
-        span_lo, span_hi = _stencil_span(r, 1.0, h1, h2)
-        seam = np.full(r.shape, math.nan)
-        for s in reversed(seams):
-            seam = np.where((span_lo <= s) & (s <= span_hi), s, seam)
-        hit = ~np.isnan(seam)
-        if not hit.any():
-            return r
-        width = np.maximum(span_hi - r, r - span_lo)
-        shifted = seam + np.where(r >= seam, 1.0, -1.0) * 3.0 * width
-        shifted = np.where(shifted <= lo_limit, seam + 3.0 * width, shifted)
-        r = np.where(hit, shifted, r)
-    raise SeamError(f"could not move evaluation point clear of kinks near r = {float(r[hit][0])!r}")
+def _clear_of_kink(r: np.ndarray, level: float, edge: float) -> np.ndarray:
+    """Move each point whose stencil straddles the kink at ``level`` three stencil widths
+    off it, on its own side unless that falls to ``edge`` or below."""
+    lo, hi = _stencil_span(r)
+    width = np.maximum(hi - r, r - lo)
+    shifted = level + np.where(r >= level, 1.0, -1.0) * 3.0 * width
+    shifted = np.where(shifted <= edge, level + 3.0 * width, shifted)
+    return np.where((lo <= level) & (level <= hi), shifted, r)
 
 
-def _one_sided(fn, r: float, side: float) -> tuple[float, float]:
-    """Second-order one-sided d/dx1 and d2/dx1^2 at (r, 1): from below for side 1, above for -1."""
-    h = side * _steps(r, 1.0)[0]
+def _one_sided(fn, r: float, h: float) -> tuple[float, float]:
+    """Second-order one-sided d/dx1 and d2/dx1^2 at (r, 1) from r, r - h and r - 2h."""
     f0, f1, f2 = fn.evaluate(r - np.array([0.0, 1.0, 2.0]) * h, 1.0)
     d1 = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
     d11 = (f0 - 2.0 * f1 + f2) / (h * h)
@@ -221,17 +176,18 @@ def _grid_pass(fn, p: ModelParams, level: float, mode: str):
     """Evaluate ``fn`` at the ``N_GRID`` ratios of the lemma grid [alpha0, 3 level] at once.
 
     Returns arrays of the grid ratios r, the values H(r, 1), the ratios
-    r_eff where the partials were taken (r, or off a kink in fd mode), the
-    partials at r_eff (one row each) and (A - delta)H / scale at r_eff.
+    r_eff where the partials were taken (r, or off the kink at ``level`` in fd
+    mode), the partials at r_eff (one row each) and (A - delta)H / scale at r_eff.
     """
     r = np.geomspace(p.alpha0, 3.0 * level, N_GRID)
     value = fn.evaluate(r, 1.0)
-    r_eff = r
-    if mode != "analytic":
-        # Keep the whole stencil inside the domain (ratios >= alpha0) and off kinks.
+    if mode == "analytic":
+        r_eff, parts = r, fn.partials(r, 1.0)
+    else:
+        # Keep the whole stencil inside the domain (ratios >= alpha0) and off the kink.
         edge = p.alpha0 * (1.0 + 10.0 * FD_REL_STEP)
-        r_eff = _clear_of_seams(np.maximum(r, edge), fn.seam_ratios, edge)
-    parts = _partials(fn, r_eff, 1.0, mode)
+        r_eff = _clear_of_kink(np.maximum(r, edge), level, edge)
+        parts = _fd_partials(fn, r_eff, 1.0)
     terms = (*_generator_terms(parts, r_eff, 1.0, p), -p.delta * fn.evaluate(r_eff, 1.0))
     gen = sum(terms) / np.maximum(sum(np.abs(t) for t in terms), 1e-300)
     return r, value, r_eff, np.column_stack(parts), gen
@@ -251,8 +207,10 @@ def _pasting(fn, level: float, mode: str, mid_curvature=None) -> list[float]:
         out = [abs(below[0] - 1.0), abs(below[1] - above_d2) / max(1.0, abs(above_d2))]
         curvatures = below[2:]
     else:
-        # One-sided slope from below carries only the fd truncation term.
-        d1b, d11b = _one_sided(fn, level, 1.0)
+        # One-sided slope from below carries only the fd truncation term.  Its step is
+        # capped to keep the stencil >= alpha0; a barrier at alpha0 leaves none: NaN fails.
+        h = min(FD_REL_STEP * level, 0.5 * (level - fn.alpha0)) or math.nan
+        d1b, d11b = _one_sided(fn, level, h)
         out = [abs(d1b - 1.0)]
         curvatures = (d11b,)
     if mid_curvature is not None:
@@ -362,7 +320,7 @@ def check_injection_lemma(
     if mode == "analytic":
         d1_floor = dv.partials(p.alpha0, 1.0)[0]
     else:
-        d1_floor = _one_sided(dv, p.alpha0, -1.0)[0]
+        d1_floor = _one_sided(dv, p.alpha0, -FD_REL_STEP * p.alpha0)[0]
     pasting = _pasting(dv, level, mode, mid_curvature) + [abs(d1_floor - kappa) / kappa]
     d1 = parts[:, 0]
     return _report("injection", level, mode, p, [

@@ -5,17 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fundiv import (
-    DomainError,
     MissingParameter,
-    SeamError,
     check_injection_lemma,
     check_smooth_fit,
     check_solvency_lemma,
     closed_form_value,
     double_barrier_value,
-    generator_apply,
     optimal_barrier_beta0,
     optimal_barrier_beta2,
     verify,
@@ -139,28 +138,27 @@ def test_smooth_fit_unknown_problem():
         check_smooth_fit(solvency_params(), "liquidation")
 
 
+def generator(parts, r, p):
+    return sum(verify._generator_terms(parts, r, 1.0, p))
+
+
 def test_generator_identity_inside_band():
     # (A - delta)V = 0 on the continuation band, so A V = delta V exactly.
     p = make_params()
     cf = closed_form_value(optimal_barrier_beta0(p), p)
     for r in (1.2, 2.0, 3.0):
-        av = generator_apply(cf, r, 1.0, p)
+        av = generator(cf.partials(r, 1.0), r, p)
         assert av == pytest.approx(p.delta * cf.evaluate(r, 1.0), rel=1e-12)
 
 
 def test_generator_fd_matches_analytic():
     p = make_params()
     cf = closed_form_value(optimal_barrier_beta0(p), p)
-    for r in (2.0, 5.0):
-        exact = generator_apply(cf, r, 1.0, p, mode="analytic")
-        approx = generator_apply(cf, r, 1.0, p, mode="finite-difference")
-        assert approx == pytest.approx(exact, rel=1e-4, abs=1e-8)
-
     pk = injection_params()
     dv = double_barrier_value(optimal_barrier_beta2(pk), pk.alpha0, pk)
-    exact = generator_apply(dv, 1.4, 1.0, pk, mode="analytic")
-    approx = generator_apply(dv, 1.4, 1.0, pk, mode="finite-difference")
-    assert approx == pytest.approx(exact, rel=1e-4, abs=1e-8)
+    for fn, r, q in [(cf, 2.0, p), (cf, 5.0, p), (dv, 1.4, pk)]:
+        approx = generator(verify._fd_partials(fn, r, 1.0), r, q)
+        assert approx == pytest.approx(generator(fn.partials(r, 1.0), r, q), rel=1e-4, abs=1e-8)
 
 
 def test_generator_fd_is_second_order(monkeypatch):
@@ -171,8 +169,8 @@ def test_generator_fd_is_second_order(monkeypatch):
 
     def fd_error(value_fn, r, p, h_rel):
         monkeypatch.setattr(verify, "FD_REL_STEP", h_rel)
-        exact = generator_apply(value_fn, r, 1.0, p, mode="analytic")
-        return abs(generator_apply(value_fn, r, 1.0, p, mode="finite-difference") - exact)
+        exact = generator(value_fn.partials(r, 1.0), r, p)
+        return abs(generator(verify._fd_partials(value_fn, r, 1.0), r, p) - exact)
 
     def slope(value_fn, r, p):
         err_coarse, err_fine = (fd_error(value_fn, r, p, h) for h in (h_coarse, h_fine))
@@ -186,28 +184,6 @@ def test_generator_fd_is_second_order(monkeypatch):
     pk = injection_params()
     dv = double_barrier_value(optimal_barrier_beta2(pk), pk.alpha0, pk)
     assert 1.8 <= slope(dv, 1.4, pk) <= 2.2
-
-
-def test_generator_fd_refuses_to_difference_across_a_kink():
-    p = make_params()
-    beta0 = optimal_barrier_beta0(p)
-    cf = closed_form_value(beta0, p)
-    with pytest.raises(SeamError):
-        generator_apply(cf, beta0, 1.0, p, mode="finite-difference")
-
-
-def test_generator_analytic_needs_exact_partials():
-    p = make_params()
-    with pytest.raises(TypeError):
-        generator_apply(lambda x1, x2: x1 - x2, 2.0, 1.0, p, mode="analytic")
-
-
-def test_generator_unknown_mode():
-    p = make_params()
-    cf = closed_form_value(optimal_barrier_beta0(p), p)
-    for mode in ("spectral", "fd"):
-        with pytest.raises(ValueError):
-            generator_apply(cf, 2.0, 1.0, p, mode=mode)
 
 
 def test_lemma_checks_require_their_optional_parameter():
@@ -290,7 +266,7 @@ def test_grid_pass_matches_per_point_calls(problem, mode, monkeypatch):
     else:
         p = injection_params()
         level = optimal_barrier_beta2(p)
-        fn = double_barrier_value(level, 1.1, p)  # kinks at gamma and beta
+        fn = double_barrier_value(level, p.alpha0, p)  # gamma = alpha0, as the lemma builds it
     monkeypatch.setattr(verify, "N_GRID", 64)
     r, value, r_eff, parts, gen = verify._grid_pass(fn, p, level, mode)
     edge = p.alpha0 * (1.0 + 10.0 * verify.FD_REL_STEP)
@@ -300,30 +276,63 @@ def test_grid_pass_matches_per_point_calls(problem, mode, monkeypatch):
         if mode == "analytic":
             assert x == r[i]
         else:
-            # Off every kink, and moved only where the stencil straddled one.
-            h1, h2 = verify._steps(x, 1.0)
-            lo, hi = verify._stencil_span(x, 1.0, h1, h2)
-            assert not any(lo <= s <= hi for s in fn.seam_ratios)
+            # Off the kink, and moved only where the stencil straddled it.
+            lo, hi = verify._stencil_span(x)
+            assert not lo <= level <= hi
             if x != max(r[i], edge):
                 assert abs(x - r[i]) <= 1e-3 * r[i]
-        scalar_parts = verify._partials(fn, x, 1.0, mode)
+        scalar_parts = (
+            fn.partials(x, 1.0) if mode == "analytic" else verify._fd_partials(fn, x, 1.0)
+        )
         assert tuple(parts[i]) == tuple(scalar_parts)
         terms = (*verify._generator_terms(scalar_parts, x, 1.0, p), -p.delta * fn.evaluate(x, 1.0))
         expected = math.fsum(terms) / max(sum(abs(t) for t in terms), 1e-300)
         assert gen[i] == pytest.approx(expected, rel=0, abs=8 * np.finfo(float).eps)
 
 
-def test_points_on_kinks_move_clear_of_them():
-    seams, edge = (1.1, 2.0), 1.0001
-    r = np.array([1.05, 1.1, 1.1 * (1 - 1e-6), 1.5, 2.0, 2.0 * (1 + 1e-6), 3.0])
-    moved = verify._clear_of_seams(r, seams, edge)
-    for before, after in zip(r, moved):
-        h1, h2 = verify._steps(after, 1.0)
-        lo, hi = verify._stencil_span(after, 1.0, h1, h2)
-        assert not any(lo <= s <= hi for s in seams)
-        if before in (1.05, 1.5, 3.0):
-            assert after == before
-        else:
-            seam = min(seams, key=lambda s: abs(s - before))
-            assert (after > seam) == (before >= seam)  # moved away on its own side
-            assert abs(after - before) <= 1e-4 * before
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha0=st.floats(1e-12, 1e6),
+    kink=st.one_of(st.floats(1.0, 1.001), st.floats(1.0, 1e3)),
+    offsets=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+)
+def test_points_on_kinks_move_clear_of_them(alpha0, kink, offsets):
+    # Points within three stencil widths of the kink and of the grid's lower edge:
+    # one shift clears the kink, and every stencil stays at or above alpha0.
+    edge = alpha0 * (1.0 + 10.0 * verify.FD_REL_STEP)
+    level = alpha0 * kink
+    width = 2.0 * verify.FD_REL_STEP  # the stencil's half-width relative to r
+    r = np.maximum([c * (1.0 + width * o) for c in (level, edge) for o in offsets], edge)
+    moved = verify._clear_of_kink(r, level, edge)
+    lo, hi = verify._stencil_span(moved)
+    assert ((hi < level) | (level < lo)).all()
+    assert (moved >= edge).all() and (lo >= alpha0).all()
+    lo0, hi0 = verify._stencil_span(r)
+    straddled = (lo0 <= level) & (level <= hi0)
+    assert (moved[~straddled] == r[~straddled]).all()
+    assert (abs(moved - r) <= 1e-4 * r).all()
+    assert (r[moved < level] < level).all()  # only a move up, off the edge, switches side
+
+
+def test_fd_barrier_overrides_just_above_alpha0():
+    # The one-sided pasting stencil below the barrier stays at or above alpha0; a barrier
+    # at alpha0 leaves it no room, so that row reads NaN and fails.
+    p = solvency_params()
+    at_floor = check_solvency_lemma(p, barrier=p.alpha0, mode="finite-difference")
+    pasting = condition(at_floor, "c1-pasting")
+    assert math.isnan(pasting.worst_violation) and not pasting.passed
+    assert not at_floor.passed
+    just_above = p.alpha0 * (1.0 + 1e-5)
+    for check, q in ((check_solvency_lemma, p), (check_injection_lemma, injection_params())):
+        report = check(q, barrier=just_above, mode="finite-difference")
+        assert report.barrier == just_above
+        assert all(math.isfinite(c.worst_violation) for c in report.condition_results)
+
+
+@pytest.mark.parametrize("alpha0", [1e-6, 1e-12])
+def test_fd_lemmas_pass_at_small_alpha0(alpha0):
+    # The steps are relative, so a small ruin level keeps every stencil inside the domain.
+    ps = make_params(alpha0=alpha0, alpha1=1.2 * alpha0)
+    pk = make_params(alpha0=alpha0, kappa=1.05)
+    assert check_solvency_lemma(ps, mode="finite-difference").passed
+    assert check_injection_lemma(pk, mode="finite-difference").passed
