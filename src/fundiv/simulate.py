@@ -21,15 +21,19 @@ path's draws, so two policies run on one seed still see common random
 numbers path by path while both arms are alive.  With antithetic pairing
 path 2j+1 consumes the negated draws of stream j.
 
-Paths run in tiles of at most ``_CHUNK_BUDGET // (2 * _CHUNK_STEPS)`` paths
-(46,875), and a tile steps in chunks of ``_CHUNK_STEPS`` = 128 steps, so one
-tile's two growth-factor buffers never exceed ``_CHUNK_BUDGET`` scalars.  A
-chunk's normals are drawn ``_BLOCK_PATHS`` = 256 paths at a time into a small
-staging buffer and folded into the growth buffers from there.  Tiles are the
-only unit of work: a serial run maps them in order, and a run on several
-workers hands them to a process pool (at most one process per CPU) one at a
-time.  A ruined path's outputs are written when it is ruined; its row is
-dropped at the next chunk boundary, and a tile stops once none is left.
+Paths run in tiles of at most ``_TILE_PATHS`` = 46,875 paths, which bound a
+tile's per-path streams and state (about 1 KB a path).  A tile steps in
+chunks of ``_CHUNK_STEPS`` = 128 steps, and a chunk steps its live paths in
+step blocks of at most ``_CHUNK_BUDGET // (2 * _CHUNK_STEPS)`` = 8,192 paths,
+split evenly: a block grows and steps through the whole chunk before the next
+one starts, so the tile's two growth-factor buffers never exceed
+``_CHUNK_BUDGET`` scalars (16 MiB).  A step block's normals are drawn in draw
+blocks of ``_BLOCK_PATHS`` = 256 paths into a small staging buffer and folded
+into the growth buffers from there.  Tiles are the only unit of work: a
+serial run maps them in order, and a run on several workers hands them to a
+process pool (at most one process per CPU) one at a time.  A ruined path's
+outputs are written when it is ruined; its row is dropped at the next chunk
+boundary, and a tile stops once none is left.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from typing import IO, Union
@@ -63,8 +66,11 @@ __all__ = [
     "write_paired_csv",
 ]
 
-#: Scalar count that bounds one tile's two growth-factor buffers (a memory knob).
-_CHUNK_BUDGET = 12_000_000
+#: Paths per tile: bounds a tile's per-path streams and state.
+_TILE_PATHS = 46_875
+#: Scalar count that bounds a tile's two growth-factor buffers (a memory knob):
+#: a step block holds at most _CHUNK_BUDGET // (2 * _CHUNK_STEPS) paths.
+_CHUNK_BUDGET = 2 * 128 * 8192
 #: Steps per chunk: a tile draws, grows and steps this many steps at a time.
 _CHUNK_STEPS = 128
 #: Paths per draw block: a chunk's normals are drawn and folded into the
@@ -313,22 +319,28 @@ def _path_streams(seed: int, paths: np.ndarray, antithetic: bool) -> list:
     ]
 
 
+def _even_width(n: int, cap: int) -> int:
+    """Width of the fewest blocks of at most ``cap`` rows that cover ``n`` rows, split evenly."""
+    return -(-n // -(-n // cap))
+
+
 def _run_tile(
     p: ModelParams, policy: Policy, cfg: SimConfig, i0: int, i1: int, n_steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Simulate paths [i0, i1); pure function of (cfg.seed, path index).
 
     A ruined path's outputs are written when it is ruined, and its working
-    row is never read again, so per-path outputs do not depend on the chunk
-    or tile size.  Under a ruin-stopped policy the working state is compacted
-    to the live paths at t = 0 and at every chunk boundary: a ruined path
-    neither draws nor steps past the end of its chunk.
+    row is never read again, so per-path outputs do not depend on the chunk,
+    step block or tile size.  Under a ruin-stopped policy the working state
+    is compacted to the live paths at t = 0 and at every chunk boundary: a
+    ruined path neither draws nor steps past the end of its chunk.
 
-    Each chunk draws its normals one block of at most ``_BLOCK_PATHS`` live
-    paths at a time and writes that block's columns of the step-major growth
-    buffers while the draws are in cache; the rest of the growth formula and
-    ``exp`` then run on the whole contiguous buffers.  No buffer holds a
-    whole chunk of draws.
+    Each chunk steps its live rows one step block at a time: a block draws
+    its normals ``_BLOCK_PATHS`` paths at a time, folds them into its columns
+    of the step-major growth buffers while the draws are in cache, takes
+    ``exp`` and runs the chunk's steps on its slice of the working state
+    before the next block starts.  The growth buffers are sized once, at the
+    first chunk's block width, and no buffer holds a whole chunk of draws.
     """
     n = i1 - i0
     dt = cfg.dt
@@ -345,7 +357,7 @@ def _run_tile(
     x1 = np.full(n, float(cfg.x1_0))
     x2 = np.full(n, float(cfg.x2_0))
     pvd = np.zeros(n)
-    pvi = np.zeros(n)
+    pvi = np.zeros(n)  # indexed by tile row: only a policy that never ruins injects
     alive = np.ones(n, dtype=bool)
     scratch = np.empty(n)
     rows = np.arange(n)  # tile row of each path in the working state
@@ -353,7 +365,7 @@ def _run_tile(
     pvd_out = np.zeros(n)
     censored = np.zeros(n, dtype=bool)
 
-    def control(t: float, disc: float) -> None:
+    def control(t: float, disc: float, x1, x2, pvd, pvi, alive, scratch, rows) -> None:
         if injecting:
             np.multiply(x2, policy.gamma, out=scratch)
             np.subtract(scratch, x1, out=scratch)
@@ -383,48 +395,60 @@ def _run_tile(
         scratch = scratch[: keep.size]
         return keep.tolist()
 
-    control(0.0, 1.0)
+    control(0.0, 1.0, x1, x2, pvd, pvi, alive, scratch, rows)
     if not alive.all():
         compact()
+    if not rows.size:
+        return pvd_out, pvi, ruin_time, censored
 
     rngs = _path_streams(int(cfg.seed), i0 + rows, cfg.antithetic)
-    block = min(_BLOCK_PATHS, n)
+    # Later chunks split their fewer live rows at most this wide, so the
+    # growth buffers sized here hold any chunk's step block.
+    width = _even_width(rows.size, _CHUNK_BUDGET // (2 * _CHUNK_STEPS))
+    block = min(_BLOCK_PATHS, width)
     stage_buf = np.empty((block, _CHUNK_STEPS, 2))
     mixed_buf = np.empty(_CHUNK_STEPS * block)
-    grow_a_buf = np.empty(_CHUNK_STEPS * n)
-    grow_l_buf = np.empty(_CHUNK_STEPS * n)
+    grow_a_buf = np.empty(_CHUNK_STEPS * width)
+    grow_l_buf = np.empty(_CHUNK_STEPS * width)
     k = 0
     while k < n_steps and rows.size:
         m = min(_CHUNK_STEPS, n_steps - k)
         live = rows.size
-        # grow_a = exp(drift_a + vol_a z1), grow_l = exp(drift_l + vol_l (rho z1 + mix z2)),
-        # in place but in the formula's operation order, so every factor keeps its bits.
-        grow_a = grow_a_buf[: m * live].reshape(m, live)
-        grow_l = grow_l_buf[: m * live].reshape(m, live)
-        for b0 in range(0, live, block):
-            b1 = min(b0 + block, live)
-            stage = stage_buf[: b1 - b0, :m]
-            for j, rng in enumerate(rngs[b0:b1]):
-                rng.standard_normal(out=stage[j])
-            if cfg.antithetic:
-                odd = ((i0 + rows[b0:b1]) % 2 == 1)[:, None, None]
-                np.negative(stage, out=stage, where=odd)
-            z1 = stage[:, :, 0].T
-            mixed = mixed_buf[: m * (b1 - b0)].reshape(m, b1 - b0)
-            np.multiply(stage[:, :, 1].T, mix, out=mixed)
-            np.multiply(z1, p.rho, out=grow_l[:, b0:b1])
-            np.add(grow_l[:, b0:b1], mixed, out=grow_l[:, b0:b1])
-            np.multiply(z1, vol_a, out=grow_a[:, b0:b1])
-        np.multiply(grow_l, vol_l, out=grow_l)
-        np.add(grow_l, drift_l, out=grow_l)
-        np.exp(grow_l, out=grow_l)
-        np.add(grow_a, drift_a, out=grow_a)
-        np.exp(grow_a, out=grow_a)
+        outs = list(stage_buf[:, :m])  # one row view per path of a draw block
         disc = np.exp(-p.delta * dt * np.arange(k + 1, k + m + 1))
-        for j in range(m):
-            np.multiply(x1, grow_a[j], out=x1)
-            np.multiply(x2, grow_l[j], out=x2)
-            control((k + j + 1) * dt, disc[j])
+        w = _even_width(live, width)
+        for s0 in range(0, live, w):
+            s1 = min(s0 + w, live)
+            # grow_a = exp(drift_a + vol_a z1), grow_l = exp(drift_l + vol_l (rho z1 + mix z2)),
+            # in place but in the formula's operation order, so every factor keeps its bits.
+            grow_a = grow_a_buf[: m * (s1 - s0)].reshape(m, s1 - s0)
+            grow_l = grow_l_buf[: m * (s1 - s0)].reshape(m, s1 - s0)
+            for b0 in range(s0, s1, block):
+                b1 = min(b0 + block, s1)
+                for rng, out in zip(rngs[b0:b1], outs):
+                    rng.standard_normal(out=out)
+                stage = stage_buf[: b1 - b0, :m]
+                if cfg.antithetic:
+                    odd = ((i0 + rows[b0:b1]) % 2 == 1)[:, None, None]
+                    np.negative(stage, out=stage, where=odd)
+                z1 = stage[:, :, 0].T
+                mixed = mixed_buf[: m * (b1 - b0)].reshape(m, b1 - b0)
+                cols = slice(b0 - s0, b1 - s0)
+                np.multiply(stage[:, :, 1].T, mix, out=mixed)
+                np.multiply(z1, p.rho, out=grow_l[:, cols])
+                np.add(grow_l[:, cols], mixed, out=grow_l[:, cols])
+                np.multiply(z1, vol_a, out=grow_a[:, cols])
+            np.multiply(grow_l, vol_l, out=grow_l)
+            np.add(grow_l, drift_l, out=grow_l)
+            np.exp(grow_l, out=grow_l)
+            np.add(grow_a, drift_a, out=grow_a)
+            np.exp(grow_a, out=grow_a)
+            view = [a[s0:s1] for a in (x1, x2, pvd, pvi, alive, scratch, rows)]
+            bx1, bx2 = view[:2]
+            for j in range(m):
+                np.multiply(bx1, grow_a[j], out=bx1)
+                np.multiply(bx2, grow_l[j], out=bx2)
+                control((k + j + 1) * dt, disc[j], *view)
         k += m
         if k < n_steps and not alive.all():
             rngs = [rngs[j] for j in compact()]
@@ -444,16 +468,17 @@ def simulate_paths(cfg: SimConfig, policy: Policy, p: ModelParams) -> SimResult:
     n_steps = _validate_run(cfg, policy, p)
     n = int(cfg.n_paths)
     workers = min(int(cfg.n_workers), n, os.cpu_count() or 1)
-    # A tile holds at most _CHUNK_BUDGET // (2 * _CHUNK_STEPS) paths, so its
-    # growth buffers stay within _CHUNK_BUDGET scalars, and at most an even
-    # share of the paths, so a small run still spreads over the workers.
-    tile = max(1, min(_CHUNK_BUDGET // (2 * _CHUNK_STEPS), -(-n // workers)))
+    # A tile holds at most _TILE_PATHS paths, and at most an even share of
+    # the paths, so a small run still spreads over the workers.
+    tile = max(1, min(_TILE_PATHS, -(-n // workers)))
     starts = range(0, n, tile)
     ends = [min(i + tile, n) for i in starts]
     args = (repeat(p), repeat(policy), repeat(cfg), starts, ends, repeat(n_steps))
     if workers == 1:
         tiles = list(map(_run_tile, *args))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never imports it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             tiles = list(pool.map(_run_tile, *args))
     pvd, pvi, ruin_time, censored = (np.concatenate(col) for col in zip(*tiles))

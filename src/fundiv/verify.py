@@ -320,7 +320,9 @@ def check_injection_lemma(
     if mode == "analytic":
         d1_floor = dv.partials(p.alpha0, 1.0)[0]
     else:
-        d1_floor = _one_sided(dv, p.alpha0, -FD_REL_STEP * p.alpha0)[0]
+        # Capped as in _pasting, so the stencil stays below the barrier's kink.
+        h = min(FD_REL_STEP * p.alpha0, 0.5 * (level - p.alpha0)) or math.nan
+        d1_floor = _one_sided(dv, p.alpha0, -h)[0]
     pasting = _pasting(dv, level, mode, mid_curvature) + [abs(d1_floor - kappa) / kappa]
     d1 = parts[:, 0]
     return _report("injection", level, mode, p, [

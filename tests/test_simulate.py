@@ -184,16 +184,16 @@ def test_path_streams_match_jumped_streams():
 
 
 def test_compaction_across_chunks_and_tiles_is_bit_identical(monkeypatch):
-    # 64-step chunks and a budget of 3 paths x 64 steps give three-path tiles
-    # that compact every 64 steps; with an odd tile size the antithetic pairs
-    # (2, 3) and (8, 9) straddle two tiles.  Two-path draw blocks split each
-    # tile 2 + 1, so the pairs (4, 5) and (10, 11) straddle two blocks, and
-    # compaction leaves live counts that the block size does not divide.
-    # One-path blocks start at odd offsets too, where a block that read its
-    # antithetic parities from the wrong rows would flip the wrong paths.
-    # The default runs all 12 paths in one tile, one block, and the 240 steps
-    # in two chunks.  On two workers the four tiles are shared out between
-    # the processes.
+    # 64-step chunks, three-path tiles and a budget of 2 paths x 64 steps give
+    # tiles that compact every 64 steps and step each chunk in two-path step
+    # blocks; with an odd tile size the antithetic pairs (2, 3) and (8, 9)
+    # straddle two tiles.  A full tile splits 2 + 1, so the pairs (4, 5) and
+    # (10, 11) straddle two step blocks, and compaction leaves live counts
+    # that the block width does not divide.  One-path draw blocks start at
+    # odd offsets too, where a block that read its antithetic parities from
+    # the wrong rows would flip the wrong paths.  The default runs all 12
+    # paths in one tile, one block, and the 240 steps in two chunks.  On two
+    # workers the four tiles are shared out between the processes.
     p = make_params(kappa=1.05)
     cfg = SimConfig(x1_0=1.3, x2_0=1.0, dt=1 / 12, horizon_T=20.0, n_paths=12, seed=4242)
     cases = [
@@ -208,7 +208,8 @@ def test_compaction_across_chunks_and_tiles_is_bit_identical(monkeypatch):
     assert reference[0].censored.sum() == 1
 
     monkeypatch.setattr(simulate, "_CHUNK_STEPS", 64)
-    monkeypatch.setattr(simulate, "_CHUNK_BUDGET", 2 * 64 * 3)
+    monkeypatch.setattr(simulate, "_TILE_PATHS", 3)
+    monkeypatch.setattr(simulate, "_CHUNK_BUDGET", 2 * 64 * 2)
     for block in (2, 1):
         monkeypatch.setattr(simulate, "_BLOCK_PATHS", block)
         for workers in (1, 2):
@@ -274,6 +275,24 @@ def test_tile_holds_no_chunk_of_draws():
     assert peak < 4 * simulate._CHUNK_STEPS * n * 8
 
 
+def test_growth_buffers_are_bounded_by_a_step_block():
+    # Doubling a tile past the step-block width adds per-path streams and
+    # state but no growth buffers: tile-wide buffers would add
+    # 2 * _CHUNK_STEPS scalars a path on top.
+    width = simulate._CHUNK_BUDGET // (2 * simulate._CHUNK_STEPS)
+    cfg = SimConfig(x1_0=1.5, x2_0=1.0, dt=1 / 50, horizon_T=0.04, n_paths=1, seed=3)
+    p = make_params(kappa=1.05)
+    peaks = []
+    for n in (width, 2 * width):
+        tracemalloc.start()
+        try:
+            simulate._run_tile(p, DoubleBarrier(beta=1.8, gamma=1.0), cfg, 0, n, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * simulate._CHUNK_STEPS * width * 8
+
+
 def test_ratio_recovering_after_ruin_earns_nothing():
     # With sigma_A = 0.6 and beta just above alpha0, several ruined paths would
     # climb back above beta before the single 120-step chunk ends.  Every path
@@ -331,7 +350,7 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     p = make_params()
     pol = UnconstrainedBarrier(beta=1.5)
     cases = [  # (cpu_count, n_workers, n_paths) -> processes

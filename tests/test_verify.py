@@ -329,6 +329,19 @@ def test_fd_barrier_overrides_just_above_alpha0():
         assert all(math.isfinite(c.worst_violation) for c in report.condition_results)
 
 
+def test_fd_floor_slope_stencil_stays_below_the_barrier(monkeypatch):
+    # The floor slope's one-sided stencil alpha0, alpha0 + h, alpha0 + 2h must not reach the
+    # payout kink at the barrier, so for barriers just above alpha0 its step is capped at half
+    # the gap.  With the barrier rows left out, c2-pasting's worst entry is the floor row.
+    monkeypatch.setattr(verify, "_pasting", lambda *args: [])
+    p = injection_params()
+    for rel in (1e-5, 1.5e-5):
+        report = check_injection_lemma(p, barrier=p.alpha0 * (1.0 + rel), mode="finite-difference")
+        floor = condition(report, "c2-pasting")
+        assert floor.location == p.alpha0
+        assert floor.worst_violation < verify.TOL_EQUALITY_FD
+
+
 @pytest.mark.parametrize("alpha0", [1e-6, 1e-12])
 def test_fd_lemmas_pass_at_small_alpha0(alpha0):
     # The steps are relative, so a small ruin level keeps every stencil inside the domain.
