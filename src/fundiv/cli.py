@@ -24,14 +24,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import closed_form, injections, simulate, verify
-from .errors import (
-    ConfigError,
-    DomainError,
-    EmptyInput,
-    NoBreakeven,
-    NumericalError,
-    ParameterError,
-)
+from .errors import ConfigError, DomainError, NoBreakeven, NumericalError, ParameterError
 from .params import (
     OPTIONAL_FIELDS,
     REQUIRED_FIELDS,
@@ -175,6 +168,7 @@ def _build_policy(args: argparse.Namespace, p: ModelParams, suffix: str = ""):
     """The policy named by ``--policy<suffix>`` and its closed-form value at the start point."""
     kind = getattr(args, "policy" + suffix)
     fn = _value_fn(kind, p, getattr(args, "beta" + suffix), args.gamma)
+    simulate._check_start_ratio(args.x1_0, args.x2_0)
     return _POLICIES[kind](fn, p), fn.evaluate(args.x1_0, args.x2_0)
 
 
@@ -380,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code == 0 else 1
     try:
         return args.func(args, _gather_params(args))
-    except (ParameterError, ConfigError, EmptyInput) as exc:
+    except (ParameterError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DomainError as exc:

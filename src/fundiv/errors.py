@@ -1,30 +1,24 @@
 """Exception types shared across the library.
 
-The hierarchy mirrors how callers are expected to react: parameter errors
-mean the model inputs are bad, domain errors mean a formula was asked for a
-point outside its region of validity, numerical errors mean an iterative
-procedure could not complete reliably, and config errors mean a simulation
-run was set up inconsistently.
+The message, not the class, says which invariant or step failed.  Parameter
+errors mean the model inputs are bad (they also carry the field, its value and
+the requirement) and config errors that a simulation run was set up
+inconsistently (both exit 1), domain errors mean a formula was asked for a
+point outside its region of validity (exit 2), and numerical errors mean an
+iterative procedure could not complete reliably (exit 3).
+:class:`MissingParameter` words its own message, and :class:`NoBreakeven` is
+the numerical failure a break-even sweep reports as a blank row instead of
+stopping.
 """
 
 __all__ = [
     "FundivError",
     "ParameterError",
-    "VolatilityNotPositive",
-    "CorrelationOutOfRange",
-    "ProfitabilityViolated",
-    "DiscountTooLow",
-    "RuinLevelNotPositive",
-    "SolvencyLevelTooLow",
-    "InjectionCostTooLow",
     "MissingParameter",
     "DomainError",
     "NumericalError",
-    "BracketFailure",
     "NoBreakeven",
-    "MonotonicityError",
     "ConfigError",
-    "EmptyInput",
 ]
 
 
@@ -40,34 +34,6 @@ class ParameterError(FundivError, ValueError):
         self.value = value
         self.requirement = requirement
         super().__init__(f"{field} = {value!r} violates requirement: {requirement}")
-
-
-class VolatilityNotPositive(ParameterError):
-    """sigma_A and sigma_L must be strictly positive."""
-
-
-class CorrelationOutOfRange(ParameterError):
-    """rho must lie in the open interval (-1, 1)."""
-
-
-class ProfitabilityViolated(ParameterError):
-    """mu_A must strictly exceed mu_L, otherwise paying out everything at once is optimal."""
-
-
-class DiscountTooLow(ParameterError):
-    """delta must strictly exceed mu_A (and be positive), otherwise the value diverges."""
-
-
-class RuinLevelNotPositive(ParameterError):
-    """alpha0 must be strictly positive."""
-
-
-class SolvencyLevelTooLow(ParameterError):
-    """alpha1, when present, must strictly exceed alpha0."""
-
-
-class InjectionCostTooLow(ParameterError):
-    """kappa, when present, must strictly exceed 1."""
 
 
 class MissingParameter(ParameterError):
@@ -88,21 +54,9 @@ class NumericalError(FundivError, RuntimeError):
     """A numerical procedure could not complete reliably."""
 
 
-class BracketFailure(NumericalError):
-    """No sign change was found inside the allowed bracket expansion."""
-
-
 class NoBreakeven(NumericalError):
     """The net value does not change sign over the searched cost range."""
 
 
-class MonotonicityError(NumericalError):
-    """A quantity assumed monotone for root bracketing failed a sample check."""
-
-
 class ConfigError(FundivError, ValueError):
     """Simulation configuration or policy specification is inconsistent."""
-
-
-class EmptyInput(FundivError, ValueError):
-    """Summary statistics were requested for empty input arrays."""

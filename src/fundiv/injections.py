@@ -35,7 +35,7 @@ import math
 from dataclasses import replace
 
 from .closed_form import ClosedFormValue, _rpow, exponents
-from .errors import BracketFailure, DomainError, MonotonicityError, NoBreakeven, NumericalError
+from .errors import DomainError, NoBreakeven, NumericalError
 from .params import ModelParams, require_kappa
 
 __all__ = [
@@ -133,7 +133,7 @@ def optimal_barrier_beta2(p: ModelParams) -> float:
     hi = 2.0 * p.alpha0
     f_lo = psi(lo, gamma, p)
     if not f_lo > 0.0:
-        raise BracketFailure(
+        raise NumericalError(
             f"psi({lo!r}) = {f_lo!r} is not positive; no root bracket just above alpha0"
         )
     doublings = 0
@@ -141,9 +141,7 @@ def optimal_barrier_beta2(p: ModelParams) -> float:
         hi *= 2.0
         doublings += 1
         if doublings > MAX_DOUBLINGS:
-            raise BracketFailure(
-                f"psi did not change sign below alpha0 * 2**{MAX_DOUBLINGS}"
-            )
+            raise NumericalError(f"psi did not change sign below alpha0 * 2**{MAX_DOUBLINGS}")
     tol = 1e-12 * p.alpha0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -179,7 +177,7 @@ def breakeven_kappa(p: ModelParams, kappa_cap: float = 1e3) -> float:
     over [KAPPA_LO, kappa_cap].  The start value must be positive and the cap
     value negative, otherwise :class:`NoBreakeven` is raised; monotone decay
     of the floor value in kappa is asserted on an 8-point sample first and a
-    violation raises :class:`MonotonicityError` rather than guessing at a
+    violation raises :class:`NumericalError` rather than guessing at a
     bracket.  ``p.kappa`` is ignored.
     """
     f_lo = _value_at_floor(p, KAPPA_LO)
@@ -198,7 +196,7 @@ def breakeven_kappa(p: ModelParams, kappa_cap: float = 1e3) -> float:
     values = [f_lo, *(_value_at_floor(p, k) for k in inner), f_hi]
     for (ka, va), (kb, vb) in zip(zip(sample, values), zip(sample[1:], values[1:])):
         if vb > va + 1e-12 * max(1.0, abs(va)):
-            raise MonotonicityError(
+            raise NumericalError(
                 f"floor value rose from {va!r} at kappa={ka!r} to {vb!r} at kappa={kb!r}"
             )
     lo, hi = KAPPA_LO, kappa_cap

@@ -24,17 +24,7 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
-from .errors import (
-    CorrelationOutOfRange,
-    DiscountTooLow,
-    InjectionCostTooLow,
-    MissingParameter,
-    ParameterError,
-    ProfitabilityViolated,
-    RuinLevelNotPositive,
-    SolvencyLevelTooLow,
-    VolatilityNotPositive,
-)
+from .errors import MissingParameter, ParameterError
 
 __all__ = ["ModelParams", "validate", "from_mapping", "read_params_file"]
 
@@ -71,29 +61,30 @@ OPTIONAL_FIELDS = tuple(f.name for f in fields(ModelParams) if f.default is not 
 def validate(raw: ModelParams) -> ModelParams:
     """Check every model invariant, as construction does, and return the parameters unchanged.
 
-    Raises a distinct :class:`~fundiv.errors.ParameterError` subclass per
-    violated invariant, naming the offending field and its bound.  NaN values
-    fail the comparisons and are rejected the same way; an infinite value
-    that passes them is rejected last, by a plain ParameterError.
+    Raises :class:`~fundiv.errors.ParameterError` for the first violated
+    invariant, naming the offending field, its value and the requirement.  NaN
+    values fail the comparisons and are rejected the same way; an infinite
+    value that passes them is rejected last, with the requirement that it be
+    finite.
     """
     if not raw.sigma_A > 0.0:
-        raise VolatilityNotPositive("sigma_A", raw.sigma_A, "sigma_A > 0")
+        raise ParameterError("sigma_A", raw.sigma_A, "sigma_A > 0")
     if not raw.sigma_L > 0.0:
-        raise VolatilityNotPositive("sigma_L", raw.sigma_L, "sigma_L > 0")
+        raise ParameterError("sigma_L", raw.sigma_L, "sigma_L > 0")
     if not (-1.0 < raw.rho < 1.0):
-        raise CorrelationOutOfRange("rho", raw.rho, "-1 < rho < 1")
+        raise ParameterError("rho", raw.rho, "-1 < rho < 1")
     if not raw.mu_A > raw.mu_L:
-        raise ProfitabilityViolated("mu_A", raw.mu_A, f"mu_A > mu_L = {raw.mu_L!r}")
+        raise ParameterError("mu_A", raw.mu_A, f"mu_A > mu_L = {raw.mu_L!r}")
     if not raw.delta > raw.mu_A:
-        raise DiscountTooLow("delta", raw.delta, f"delta > mu_A = {raw.mu_A!r}")
+        raise ParameterError("delta", raw.delta, f"delta > mu_A = {raw.mu_A!r}")
     if not raw.delta > 0.0:
-        raise DiscountTooLow("delta", raw.delta, "delta > 0")
+        raise ParameterError("delta", raw.delta, "delta > 0")
     if not raw.alpha0 > 0.0:
-        raise RuinLevelNotPositive("alpha0", raw.alpha0, "alpha0 > 0")
+        raise ParameterError("alpha0", raw.alpha0, "alpha0 > 0")
     if raw.alpha1 is not None and not raw.alpha1 > raw.alpha0:
-        raise SolvencyLevelTooLow("alpha1", raw.alpha1, f"alpha1 > alpha0 = {raw.alpha0!r}")
+        raise ParameterError("alpha1", raw.alpha1, f"alpha1 > alpha0 = {raw.alpha0!r}")
     if raw.kappa is not None and not raw.kappa > 1.0:
-        raise InjectionCostTooLow("kappa", raw.kappa, "kappa > 1")
+        raise ParameterError("kappa", raw.kappa, "kappa > 1")
     # Not vars(raw): giving the instance a real __dict__ halves the speed of every p.field read.
     for name in REQUIRED_FIELDS + OPTIONAL_FIELDS:
         value = getattr(raw, name)

@@ -13,9 +13,9 @@ import pytest
 
 import fundiv
 from fundiv import (
-    BracketFailure,
     DoubleBarrier,
     ModelParams,
+    NumericalError,
     SimConfig,
     SimSummary,
     SolvencyConstrained,
@@ -249,6 +249,17 @@ def test_infinite_parameter_exits_1(capsys, p1_config, tmp_path):
     rc, out, err = run_cli(capsys, "barriers", "--config", p1_config, "--mu_L", "-inf")
     assert (rc, out) == (1, "")
     assert err == "error: mu_L = -inf violates requirement: mu_L must be finite\n"
+
+
+def test_simulate_start_ratio_overflow_exits_1(capsys, p1_config):
+    # Rejected before the closed form is evaluated at the start, which would warn.
+    rc, out, err = run_cli(
+        capsys, "simulate", "--config", p1_config, "--policy", "unconstrained",
+        "--x1_0", "1e300", "--x2_0", "1e-300", "--dt", "0.25", "--horizon_T", "1.0",
+        "--n_paths", "6", "--seed", "4",
+    )
+    assert (rc, out) == (1, "")
+    assert err == "error: start ratio x1_0 / x2_0 = 1e+300 / 1e-300 overflows a float\n"
 
 
 def test_value_injection_needs_kappa(capsys, p1_config):
@@ -785,10 +796,19 @@ def test_no_bracket_set_solves_beta2_and_reports_no_breakeven(capsys):
     assert len(rows) == 3 and all(row[1:] == ["", ""] for row in rows)
 
 
+def test_beta2_bracket_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(injections, "_kappa_of_ratio", lambda t, p: p.kappa)
+    rc, out, err = run_cli(capsys, "barriers", *_flags(P1), "--kappa", "1.05")
+    assert (rc, out) == (3, "")
+    assert err == (
+        "error: psi(1.000000000001) = 0.0 is not positive; no root bracket just above alpha0\n"
+    )
+
+
 def test_sweep_breakeven_reports_a_failed_search(capsys, monkeypatch):
     # Only NoBreakeven blanks a row; any other failure of the search ends the sweep.
     def fail(p, kappa_cap=1e3):
-        raise BracketFailure("psi(1.0) = -0.0 is not positive; no root bracket just above alpha0")
+        raise NumericalError("psi(1.0) = -0.0 is not positive; no root bracket just above alpha0")
 
     monkeypatch.setattr(injections, "breakeven_kappa", fail)
     rc, out, err = run_cli(capsys, "sweep", *_flags(P1), "--kind", "breakeven", "--steps", "3")

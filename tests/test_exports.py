@@ -1,6 +1,7 @@
 """The package's public names: each module's ``__all__`` is the only list; the version
 is declared once."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -27,11 +28,25 @@ def test_every_export_is_its_module_object():
 def test_test_only_functions_are_gone():
     for name in (
         "coefficients", "value_constrained", "summary_lines", "generator_apply", "SeamError",
-        "FD_MIN_STEP",
+        "FD_MIN_STEP", "VolatilityNotPositive", "CorrelationOutOfRange", "ProfitabilityViolated",
+        "DiscountTooLow", "RuinLevelNotPositive", "SolvencyLevelTooLow", "InjectionCostTooLow",
+        "BracketFailure", "MonotonicityError", "EmptyInput",
     ):
         assert name not in fundiv.__all__
         assert not hasattr(fundiv, name)
         assert not any(hasattr(module, name) for module in MODULES)
+
+
+def test_every_raise_names_an_exported_error_or_value_error():
+    # ValueError is the one builtin raised: verify's unknown mode or problem.
+    allowed = {*errors.__all__, "ValueError"}
+    for path in Path(fundiv.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:  # a bare raise re-raises
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                assert isinstance(exc, ast.Name) and exc.id in allowed, (
+                    f"{path.name}:{node.lineno}: raise {ast.unparse(node.exc)}"
+                )
 
 
 @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")

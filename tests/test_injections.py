@@ -2,6 +2,7 @@
 conditions, the Psi root, cost recovery, and the break-even cost."""
 
 import math
+import re
 import signal
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from fundiv import (
     breakeven_kappa,
     check_injection_lemma,
     double_barrier_value,
+    injections,
     kappa_from_barrier,
     optimal_barrier_beta2,
     psi,
@@ -245,6 +247,31 @@ def test_breakeven_no_root_below_cap_raises():
     p = make_params()
     with pytest.raises(NoBreakeven):
         breakeven_kappa(p, kappa_cap=1.2)  # kappa* ~ 1.33 lies above this cap
+
+
+@pytest.mark.parametrize("kappa_of_ratio, msg", [
+    (lambda t, p: p.kappa,
+     "psi(1.000000000001) = 0.0 is not positive; no root bracket just above alpha0"),
+    (lambda t, p: 1.0, f"psi did not change sign below alpha0 * 2**{injections.MAX_DOUBLINGS}"),
+], ids=["no-positive-score-above-alpha0", "no-sign-change-within-the-doubling-cap"])
+def test_beta2_bracket_failures(monkeypatch, kappa_of_ratio, msg):
+    monkeypatch.setattr(injections, "_kappa_of_ratio", kappa_of_ratio)
+    with pytest.raises(NumericalError, match=f"^{re.escape(msg)}$") as details:
+        optimal_barrier_beta2(make_params(kappa=1.05))
+    assert type(details.value) is NumericalError
+
+
+def test_breakeven_kappa_rejects_a_floor_value_that_rises(monkeypatch):
+    # Positive at KAPPA_LO and negative at the cap, so only the sample check can object:
+    # the value steps up between the sample points 1.0193 and 1.7192.
+    def rising(p, kappa):
+        return 1.0 if kappa < 1.5 else 2.0 if kappa < 100.0 else -1.0
+
+    monkeypatch.setattr(injections, "_value_at_floor", rising)
+    msg = "floor value rose from 1.0 at kappa=1.0192959423148769 to 2.0 at kappa=1.7191715370885636"
+    with pytest.raises(NumericalError, match=f"^{re.escape(msg)}$") as details:
+        breakeven_kappa(make_params())
+    assert type(details.value) is NumericalError
 
 
 def test_psi_overflow_names_beta_and_gamma():

@@ -3,6 +3,7 @@ antithetic pairing, control ordering, and the summary statistics."""
 
 import io
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from fundiv import (
     ConfigError,
     DoubleBarrier,
-    EmptyInput,
     MissingParameter,
     SimConfig,
     SolvencyConstrained,
@@ -55,6 +55,7 @@ def test_config_rejections():
         (replace(BASE_CFG, dt=0.3), pol, p),  # 2.0 is not a whole number of steps
         (replace(BASE_CFG, x1_0=math.inf), pol, p),
         (replace(BASE_CFG, x1_0=math.nan), pol, p),
+        (replace(BASE_CFG, x1_0=1e300, x2_0=1e-300), pol, p),  # the start ratio overflows to inf
         (replace(BASE_CFG, seed=True), pol, p),
         (replace(BASE_CFG, seed=np.bool_(True)), pol, p),
         (replace(BASE_CFG, seed=np.float64(99.0)), pol, p),
@@ -123,6 +124,16 @@ def test_validate_run_accepts_only_whole_step_horizons(
         return
     assert isinstance(n_steps, int) and n_steps >= 1
     assert abs(n_steps * dt - horizon_T) <= 1e-9 * horizon_T
+
+
+def test_validate_run_caps_the_step_count_at_2_53():
+    # Past 2**53 the step index k, and so t_k = k dt, is no longer exact.
+    pol = UnconstrainedBarrier(beta=1.5)
+    cfg = replace(BASE_CFG, horizon_T=1.0)
+    msg = "horizon_T / dt = 1.0 / 1e-300 = 9.999999999999999e+299 steps exceeds 2**53"
+    with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
+        simulate._validate_run(replace(cfg, dt=1e-300), pol, make_params())
+    assert simulate._validate_run(replace(cfg, dt=2.0**-53), pol, make_params()) == 2**53
 
 
 def test_double_barrier_needs_kappa():
@@ -451,7 +462,7 @@ def censored_run(pvd, pvi=None, kappa=None, horizon_T=1.0):
 
 
 def test_summarize_rejections():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ConfigError, match="cannot summarise zero paths"):
         censored_run(np.array([]))
     with pytest.raises(ConfigError, match="pv_injections"):
         summarize(np.ones(3), np.ones(2), np.ones(3), np.ones(3, dtype=bool), 2.0, 1.0)

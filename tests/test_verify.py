@@ -2,6 +2,7 @@
 perturbed barriers fail loudly, and the generator helpers behave."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fundiv import (
+    DomainError,
     MissingParameter,
     check_injection_lemma,
     check_smooth_fit,
@@ -131,6 +133,17 @@ def test_smooth_fit_vanishes_at_optimal_barriers():
 
 def test_smooth_fit_not_applicable_when_floor_binds():
     assert check_smooth_fit(solvency_params(alpha1=5.0), "solvency") is None
+
+
+def test_smooth_fit_rejects_a_vanished_mid_band_curvature(monkeypatch):
+    def flat(beta, p):
+        return replace(closed_form_value(beta, p), A=0.0, B=0.0)
+
+    monkeypatch.setattr(verify, "closed_form_value", flat)
+    msg = "mid-band curvature vanished; cannot normalise smooth fit"
+    with pytest.raises(DomainError, match=f"^{msg}$") as details:
+        check_smooth_fit(solvency_params(), "solvency")
+    assert type(details.value) is DomainError
 
 
 def test_smooth_fit_unknown_problem():
