@@ -240,15 +240,6 @@ def _check_floor(beta: float, alpha1: float | None, p: ModelParams) -> None:
         raise ConfigError(f"policy beta = {beta!r} must be >= its floor alpha1 = {alpha1!r}")
 
 
-def _check_start_ratio(x1_0: float, x2_0: float) -> None:
-    """Reject a finite start point with x2_0 > 0 whose ratio overflows a float.
-
-    The CLI calls it before it evaluates the closed form at the start, which would warn.
-    """
-    if math.isfinite(x1_0) and x2_0 > 0.0 and x1_0 / x2_0 == math.inf:
-        raise ConfigError(f"start ratio x1_0 / x2_0 = {x1_0!r} / {x2_0!r} overflows a float")
-
-
 def _validate_run(cfg: SimConfig, policy: Policy, p: ModelParams) -> int:
     if not 0.0 < cfg.dt < math.inf:
         raise ConfigError(f"dt = {cfg.dt!r} must be positive and finite")
@@ -275,11 +266,11 @@ def _validate_run(cfg: SimConfig, policy: Policy, p: ModelParams) -> int:
         raise ConfigError(f"start point ({cfg.x1_0!r}, {cfg.x2_0!r}) must be finite")
     if not cfg.x2_0 > 0.0:
         raise ConfigError(f"x2_0 = {cfg.x2_0!r} must be positive")
-    _check_start_ratio(cfg.x1_0, cfg.x2_0)
-    if cfg.x1_0 / cfg.x2_0 < p.alpha0:
-        raise ConfigError(
-            f"start ratio {cfg.x1_0 / cfg.x2_0!r} lies below alpha0 = {p.alpha0!r}"
-        )
+    ratio = cfg.x1_0 / cfg.x2_0
+    if ratio == math.inf:
+        raise ConfigError(f"start ratio x1_0 / x2_0 = {cfg.x1_0!r} / {cfg.x2_0!r} overflows a float")
+    if ratio < p.alpha0:
+        raise ConfigError(f"start ratio {ratio!r} lies below alpha0 = {p.alpha0!r}")
     if isinstance(policy, UnconstrainedBarrier):
         if not policy.beta >= p.alpha0:
             raise ConfigError(f"policy beta = {policy.beta!r} must be >= alpha0")
@@ -294,16 +285,14 @@ def _validate_run(cfg: SimConfig, policy: Policy, p: ModelParams) -> int:
     else:
         raise ConfigError(f"unknown policy {policy!r}")
     steps = cfg.horizon_T / cfg.dt
-    if not steps < math.inf:
-        raise ConfigError(f"horizon_T / dt = {steps!r} is not a finite number of steps")
-    n_steps = int(round(steps))
-    if n_steps < 1:
-        raise ConfigError("horizon_T must cover at least one step of size dt")
     # Past 2**53 the step index k, and so t_k = k dt, is no longer exact in float64.
-    if n_steps > 2**53:
+    if not steps <= 2**53:
         raise ConfigError(
             f"horizon_T / dt = {cfg.horizon_T!r} / {cfg.dt!r} = {steps!r} steps exceeds 2**53"
         )
+    n_steps = int(round(steps))
+    if n_steps < 1:
+        raise ConfigError("horizon_T must cover at least one step of size dt")
     if abs(n_steps * cfg.dt - cfg.horizon_T) > 1e-9 * cfg.horizon_T:
         raise ConfigError(
             f"horizon_T = {cfg.horizon_T!r} is not a whole number of steps dt = {cfg.dt!r}"

@@ -251,8 +251,9 @@ def test_infinite_parameter_exits_1(capsys, p1_config, tmp_path):
     assert err == "error: mu_L = -inf violates requirement: mu_L must be finite\n"
 
 
+@pytest.mark.filterwarnings("error")
 def test_simulate_start_ratio_overflow_exits_1(capsys, p1_config):
-    # Rejected before the closed form is evaluated at the start, which would warn.
+    # The closed form at the start is evaluated first; its overflow must not warn.
     rc, out, err = run_cli(
         capsys, "simulate", "--config", p1_config, "--policy", "unconstrained",
         "--x1_0", "1e300", "--x2_0", "1e-300", "--dt", "0.25", "--horizon_T", "1.0",
@@ -260,6 +261,17 @@ def test_simulate_start_ratio_overflow_exits_1(capsys, p1_config):
     )
     assert (rc, out) == (1, "")
     assert err == "error: start ratio x1_0 / x2_0 = 1e+300 / 1e-300 overflows a float\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_start_ratio_of_minus_inf_exits_2(capsys, p1_config):
+    rc, out, err = run_cli(
+        capsys, "simulate", "--config", p1_config, "--policy", "unconstrained",
+        "--x1_0=-1e300", "--x2_0", "1e-300", "--dt", "0.25", "--horizon_T", "1.0",
+        "--n_paths", "6", "--seed", "4",
+    )
+    assert (rc, out) == (2, "")
+    assert err == "error: x1/x2 = -inf lies below the ruin level alpha0 = 1.0\n"
 
 
 def test_value_injection_needs_kappa(capsys, p1_config):

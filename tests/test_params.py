@@ -40,39 +40,45 @@ BUILDERS = {
 }
 
 
-# The label names the invariant a row breaks; each raises a plain ParameterError.
+# Each row raises a plain ParameterError naming the requirement of its
+# invariant; the label (the invariant's old class name) keeps the test ids.
+CONSTRAINT_ROWS = [
+    ("sigma_A", 0.0, "sigma_A > 0", "VolatilityNotPositive"),
+    ("sigma_A", -0.3, "sigma_A > 0", "VolatilityNotPositive"),
+    ("sigma_A", -math.inf, "sigma_A > 0", "VolatilityNotPositive"),
+    ("sigma_L", 0.0, "sigma_L > 0", "VolatilityNotPositive"),
+    ("rho", 1.0, "-1 < rho < 1", "CorrelationOutOfRange"),
+    ("rho", -1.0, "-1 < rho < 1", "CorrelationOutOfRange"),
+    ("rho", 1.5, "-1 < rho < 1", "CorrelationOutOfRange"),
+    ("rho", math.inf, "-1 < rho < 1", "CorrelationOutOfRange"),
+    ("mu_A", 0.02, "mu_A > mu_L = 0.02", "ProfitabilityViolated"),  # equals mu_L
+    ("mu_A", 0.0, "mu_A > mu_L = 0.02", "ProfitabilityViolated"),
+    ("mu_A", -math.inf, "mu_A > mu_L = 0.02", "ProfitabilityViolated"),
+    ("delta", 0.05, "delta > mu_A = 0.05", "DiscountTooLow"),  # equals mu_A
+    ("delta", 0.01, "delta > mu_A = 0.05", "DiscountTooLow"),
+    ("alpha0", 0.0, "alpha0 > 0", "RuinLevelNotPositive"),
+    ("alpha0", -1.0, "alpha0 > 0", "RuinLevelNotPositive"),
+    ("alpha1", 1.0, "alpha1 > alpha0 = 1.0", "SolvencyLevelTooLow"),  # equals alpha0
+    ("alpha1", 0.5, "alpha1 > alpha0 = 1.0", "SolvencyLevelTooLow"),
+    ("kappa", 1.0, "kappa > 1", "InjectionCostTooLow"),
+    ("kappa", 0.9, "kappa > 1", "InjectionCostTooLow"),
+    ("kappa", -math.inf, "kappa > 1", "InjectionCostTooLow"),
+]
+
+
 @pytest.mark.parametrize(
-    "field,value,invariant",
-    [
-        ("sigma_A", 0.0, "VolatilityNotPositive"),
-        ("sigma_A", -0.3, "VolatilityNotPositive"),
-        ("sigma_A", -math.inf, "VolatilityNotPositive"),
-        ("sigma_L", 0.0, "VolatilityNotPositive"),
-        ("rho", 1.0, "CorrelationOutOfRange"),
-        ("rho", -1.0, "CorrelationOutOfRange"),
-        ("rho", 1.5, "CorrelationOutOfRange"),
-        ("rho", math.inf, "CorrelationOutOfRange"),
-        ("mu_A", 0.02, "ProfitabilityViolated"),  # equals mu_L
-        ("mu_A", 0.0, "ProfitabilityViolated"),
-        ("mu_A", -math.inf, "ProfitabilityViolated"),
-        ("delta", 0.05, "DiscountTooLow"),  # equals mu_A
-        ("delta", 0.01, "DiscountTooLow"),
-        ("alpha0", 0.0, "RuinLevelNotPositive"),
-        ("alpha0", -1.0, "RuinLevelNotPositive"),
-        ("alpha1", 1.0, "SolvencyLevelTooLow"),  # equals alpha0
-        ("alpha1", 0.5, "SolvencyLevelTooLow"),
-        ("kappa", 1.0, "InjectionCostTooLow"),
-        ("kappa", 0.9, "InjectionCostTooLow"),
-        ("kappa", -math.inf, "InjectionCostTooLow"),
-    ],
+    "field,value,requirement",
+    [row[:3] for row in CONSTRAINT_ROWS],
+    ids=[f"{field}-{value}-{label}" for field, value, _, label in CONSTRAINT_ROWS],
 )
-def test_each_constraint_rejected(field, value, invariant):
+def test_each_constraint_rejected(field, value, requirement):
     for how, build in BUILDERS.items():
         with pytest.raises(ParameterError) as details:
             build(**{field: value})
         assert type(details.value) is ParameterError, how
         assert details.value.field == field, how
         assert details.value.value == value, how
+        assert details.value.requirement == requirement, how
 
 
 @pytest.mark.parametrize(

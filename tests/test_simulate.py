@@ -133,6 +133,9 @@ def test_validate_run_caps_the_step_count_at_2_53():
     msg = "horizon_T / dt = 1.0 / 1e-300 = 9.999999999999999e+299 steps exceeds 2**53"
     with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
         simulate._validate_run(replace(cfg, dt=1e-300), pol, make_params())
+    msg = "horizon_T / dt = 1e+300 / 1e-300 = inf steps exceeds 2**53"
+    with pytest.raises(ConfigError, match=f"^{re.escape(msg)}$"):
+        simulate._validate_run(replace(cfg, horizon_T=1e300, dt=1e-300), pol, make_params())
     assert simulate._validate_run(replace(cfg, dt=2.0**-53), pol, make_params()) == 2**53
 
 
