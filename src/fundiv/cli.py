@@ -61,6 +61,9 @@ _POLICIES = {
 }
 #: The ``verify`` function that checks each problem's lemma (looked up when called).
 _LEMMAS = {"solvency": "check_solvency_lemma", "injection": "check_injection_lemma"}
+#: The exit code of each error ``main`` reports, first match wins; any other error propagates.
+_EXIT_CODES = {ParameterError: 1, ConfigError: 1, DomainError: 2,
+               NumericalError: 3, OverflowError: 3, OSError: 4}
 
 
 def _gather_params(args: argparse.Namespace) -> ModelParams:
@@ -215,6 +218,8 @@ def cmd_sweep(args: argparse.Namespace, p: ModelParams) -> int:
             raise ConfigError(f"--{flag} does not apply to --kind {args.kind}")
         if value is not None and flag.endswith("steps") and value < 0:
             raise ConfigError(f"--{flag} {value} must not be negative")
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{flag} {value} must be finite")
     beta2 = functools.cache(lambda: injections.optimal_barrier_beta2(p))  # solved when named
     for flag, default in owned.items():
         if getattr(args, flag) is not None:
@@ -375,18 +380,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code == 0 else 1
     try:
         return args.func(args, _gather_params(args))
-    except (ParameterError, ConfigError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericalError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 The message, not the class, says which invariant or step failed.  Parameter
 errors mean the model inputs are bad (they also carry the field, its value and
 the requirement) and config errors that a simulation run was set up
-inconsistently (both exit 1), domain errors mean a formula was asked for a
-point outside its region of validity (exit 2), and numerical errors mean an
-iterative procedure could not complete reliably (exit 3).
+inconsistently, domain errors mean a formula was asked for a point outside its
+region of validity, and numerical errors mean an iterative procedure could not
+complete reliably; ``cli._EXIT_CODES`` maps each to the command's exit code.
 :class:`MissingParameter` words its own message, and :class:`NoBreakeven` is
 the numerical failure a break-even sweep reports as a blank row instead of
 stopping.
@@ -39,7 +39,7 @@ class ParameterError(FundivError, ValueError):
 class MissingParameter(ParameterError):
     """A required parameter is absent for the requested computation."""
 
-    def __init__(self, field: str, context: str = "this computation"):
+    def __init__(self, field: str, context: str):
         self.field = field
         self.value = None
         self.requirement = f"must be supplied for {context}"

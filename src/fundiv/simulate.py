@@ -24,16 +24,16 @@ path 2j+1 consumes the negated draws of stream j.
 Paths run in tiles of at most ``_TILE_PATHS`` = 46,875 paths, which bound a
 tile's per-path streams and state (about 1 KB a path).  A tile steps in
 chunks of ``_CHUNK_STEPS`` = 128 steps, and a chunk steps its live paths in
-step blocks of at most ``_CHUNK_BUDGET // (2 * _CHUNK_STEPS)`` = 8,192 paths,
-split evenly: a block grows and steps through the whole chunk before the next
-one starts, so the tile's two growth-factor buffers never exceed
-``_CHUNK_BUDGET`` scalars (16 MiB).  A step block's normals are drawn in draw
-blocks of ``_BLOCK_PATHS`` = 256 paths into a small staging buffer and folded
-into the growth buffers from there.  Tiles are the only unit of work: a
-serial run maps them in order, and a run on several workers hands them to a
-process pool (at most one process per CPU) one at a time.  A ruined path's
-outputs are written when it is ruined; its row is dropped at the next chunk
-boundary, and a tile stops once none is left.
+step blocks of at most ``_STEP_BLOCK_PATHS`` = 8,192 paths, split evenly: a
+block grows and steps through the whole chunk before the next one starts, so
+the tile's two growth-factor buffers never exceed
+2 * ``_CHUNK_STEPS`` * ``_STEP_BLOCK_PATHS`` scalars (16 MiB).  A step block's
+normals are drawn in draw blocks of ``_BLOCK_PATHS`` = 256 paths into a small
+staging buffer and folded into the growth buffers from there.  Tiles are the
+only unit of work: a serial run maps them in order, and a run on several
+workers hands them to a process pool (at most one process per CPU) one at a
+time.  A ruined path's outputs are written when it is ruined; its row is
+dropped at the next chunk boundary, and a tile stops once none is left.
 """
 
 from __future__ import annotations
@@ -68,11 +68,11 @@ __all__ = [
 
 #: Paths per tile: bounds a tile's per-path streams and state.
 _TILE_PATHS = 46_875
-#: Scalar count that bounds a tile's two growth-factor buffers (a memory knob):
-#: a step block holds at most _CHUNK_BUDGET // (2 * _CHUNK_STEPS) paths.
-_CHUNK_BUDGET = 2 * 128 * 8192
 #: Steps per chunk: a tile draws, grows and steps this many steps at a time.
 _CHUNK_STEPS = 128
+#: Paths per step block (a memory knob): a tile's two growth-factor buffers
+#: hold at most 2 * _CHUNK_STEPS * _STEP_BLOCK_PATHS scalars (16 MiB).
+_STEP_BLOCK_PATHS = 8192
 #: Paths per draw block: a chunk's normals are drawn and folded into the
 #: growth buffers this many paths at a time, so the draws are read from cache.
 _BLOCK_PATHS = 256
@@ -131,12 +131,10 @@ class SimSummary:
     var_pv_dividends: float
     se_pv_dividends: float
     cv_pv_dividends: float
-    cv_pv_dividends_defined: bool
     mean_net_value: float
     var_net_value: float
     se_net_value: float
     cv_net_value: float
-    cv_net_value_defined: bool
     ruin_fraction: float
     mean_ruin_time_censored: float
 
@@ -164,13 +162,11 @@ class PairedComparison:
     se_diff: float
 
 
-def _stat_block(values: np.ndarray) -> tuple[float, float, float, float, bool]:
+def _stat_block(values: np.ndarray) -> tuple[float, float, float, float]:
     mean = float(np.mean(values))
     var = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
     se = math.sqrt(var / values.size)
-    if mean > 0.0:
-        return mean, var, se, math.sqrt(var) / mean, True
-    return mean, var, se, math.nan, False
+    return mean, var, se, math.sqrt(var) / mean if mean > 0.0 else math.nan
 
 
 def summarize(
@@ -185,9 +181,8 @@ def summarize(
 
     Censored paths enter the ruin-time mean at ``horizon_T``.  The
     coefficient of variation of a sample with nonpositive mean is reported
-    as NaN with its flag cleared rather than raising.  Net value is
-    dividends minus ``kappa`` times injections; ``kappa`` may be None when
-    every injection is zero.
+    as NaN rather than raising.  Net value is dividends minus ``kappa`` times
+    injections; ``kappa`` may be None when every injection is zero.
     """
     pvd = np.asarray(pv_dividends, dtype=float)
     if pvd.size == 0:
@@ -207,20 +202,18 @@ def summarize(
         net = pvd
     ruin = np.where(censored_arr, float(horizon_T), ruin_arr)
 
-    mean_d, var_d, se_d, cv_d, cv_d_ok = _stat_block(pvd)
-    mean_n, var_n, se_n, cv_n, cv_n_ok = _stat_block(net)
+    mean_d, var_d, se_d, cv_d = _stat_block(pvd)
+    mean_n, var_n, se_n, cv_n = _stat_block(net)
     return SimSummary(
         n_paths=n,
         mean_pv_dividends=mean_d,
         var_pv_dividends=var_d,
         se_pv_dividends=se_d,
         cv_pv_dividends=cv_d,
-        cv_pv_dividends_defined=cv_d_ok,
         mean_net_value=mean_n,
         var_net_value=var_n,
         se_net_value=se_n,
         cv_net_value=cv_n,
-        cv_net_value_defined=cv_n_ok,
         ruin_fraction=float(np.count_nonzero(~censored_arr)) / n,
         mean_ruin_time_censored=float(np.mean(ruin)),
     )
@@ -408,7 +401,7 @@ def _run_tile(
     rngs = _path_streams(int(cfg.seed), i0 + rows, cfg.antithetic)
     # Later chunks split their fewer live rows at most this wide, so the
     # growth buffers sized here hold any chunk's step block.
-    width = _even_width(rows.size, _CHUNK_BUDGET // (2 * _CHUNK_STEPS))
+    width = _even_width(rows.size, _STEP_BLOCK_PATHS)
     block = min(_BLOCK_PATHS, width)
     stage_buf = np.empty((block, _CHUNK_STEPS, 2))
     mixed_buf = np.empty(_CHUNK_STEPS * block)
@@ -510,7 +503,7 @@ def paired_compare(
     result_a = simulate_paths(cfg, policy_a, p)
     result_b = simulate_paths(cfg, policy_b, p)
     diff = result_a.pv_dividends - result_b.pv_dividends
-    mean, _, se, _, _ = _stat_block(diff)
+    mean, _, se, _ = _stat_block(diff)
     return PairedComparison(
         result_a=result_a,
         result_b=result_b,

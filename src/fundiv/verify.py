@@ -36,7 +36,6 @@ from .injections import double_barrier_value, optimal_barrier_beta2
 from .params import ModelParams, _flat_text, _render, require_alpha1, require_kappa
 
 __all__ = [
-    "GridSpec",
     "ConditionResult",
     "VerificationReport",
     "check_solvency_lemma",
@@ -58,15 +57,6 @@ MODES = {
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Where a lemma check was evaluated."""
-
-    ratio_lo: float
-    ratio_hi: float
-    n_points: int
-
-
-@dataclass(frozen=True)
 class ConditionResult:
     """Worst violation of one lemma condition over the grid."""
 
@@ -79,18 +69,17 @@ class ConditionResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of every condition of one verification lemma."""
+    """Outcome of every condition of one lemma on the log grid [ratio_lo, 3 barrier]."""
 
     problem: str
     barrier: float
     mode: str
-    grid_spec: GridSpec
+    ratio_lo: float
     condition_results: tuple[ConditionResult, ...]
     passed: bool
 
     def to_text(self) -> str:
-        g = self.grid_spec
-        grid = f"[{_render(g.ratio_lo)}, {_render(g.ratio_hi)}] x {g.n_points} (log)"
+        grid = f"[{_render(self.ratio_lo)}, {_render(3.0 * self.barrier)}] x {N_GRID} (log)"
         head = {"problem": self.problem, "barrier": self.barrier, "mode": self.mode, "grid": grid}
         conditions = "".join(
             f"{c.condition_id}: worst = {c.worst_violation:.6e} at r = {c.location:.9g} "
@@ -251,7 +240,7 @@ def _report(problem: str, level: float, mode: str, p: ModelParams, table) -> Ver
         problem=problem,
         barrier=level,
         mode=mode,
-        grid_spec=GridSpec(ratio_lo=p.alpha0, ratio_hi=3.0 * level, n_points=N_GRID),
+        ratio_lo=p.alpha0,
         condition_results=conditions,
         passed=all(c.passed for c in conditions),
     )

@@ -13,13 +13,19 @@ import pytest
 
 import fundiv
 from fundiv import (
+    ConfigError,
+    DomainError,
     DoubleBarrier,
+    MissingParameter,
     ModelParams,
+    NoBreakeven,
     NumericalError,
+    ParameterError,
     SimConfig,
     SimSummary,
     SolvencyConstrained,
     UnconstrainedBarrier,
+    cli,
     constrained_barrier_beta1,
     injections,
     kappa_from_barrier,
@@ -544,6 +550,22 @@ def test_sweep_rejects_flags_of_other_kinds(capsys, p1_config, kind, flag):
     assert f"error: {flag} does not apply to --kind {kind}" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("kind, flag", [
+    (kind, flag) for kind, owned in cli._SWEEP_FLAGS.items()
+    for flag in owned if not flag.endswith("steps")
+])
+def test_sweep_non_finite_float_flag_exits_1_naming_it(capsys, p1_config, kind, flag, text):
+    # "--flag -inf" is spaced, so -inf reaches the check through _join_negative_values.
+    rc, out, err = run_cli(
+        capsys, "sweep", "--config", p1_config, "--kappa", "1.05", "--kind", kind,
+        f"--{flag}", text,
+    )
+    assert (rc, out) == (1, "")
+    assert err == f"error: --{flag} {text} must be finite\n"
+
+
 def test_verify_overflowing_barrier_exits_2_with_a_report(capsys, p1_config):
     rc, out, err = run_cli(
         capsys, "verify", "--config", p1_config, "--alpha1", "1.2",
@@ -631,6 +653,33 @@ def test_unwritable_output_exits_4(capsys, p1_config):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("error, code", [
+    (ParameterError("sigma_A", -1.0, "sigma_A > 0"), 1),
+    (MissingParameter("kappa", "the model"), 1),
+    (ConfigError("a run set up inconsistently"), 1),
+    (DomainError("a point outside the domain"), 2),
+    (NumericalError("a search that failed"), 3),
+    (NoBreakeven("no sign change"), 3),
+    (OverflowError("a float that overflowed"), 3),
+    (OSError("a file that failed"), 4),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_each_error_class_exits_with_its_code(capsys, monkeypatch, p1_config, error, code):
+    def fail(args, p):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_barriers", fail)
+    assert run_cli(capsys, "barriers", "--config", p1_config) == (code, "", f"error: {error}\n")
+
+
+def test_an_unmapped_error_propagates(monkeypatch, p1_config):
+    def fail(args, p):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_barriers", fail)
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(["barriers", "--config", p1_config])
+
+
 def test_help_and_bad_usage_exit_codes(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "no-such-command")[0] == 1
@@ -702,16 +751,14 @@ def test_simulate_summary_block_keys_flags_and_round_trip(capsys, p1_config):
     assert rc == 0
     names = keys(out)
     assert names == ["policy", *SUMMARY_KEYS, "closed_form_value", "z_score_vs_closed_form"]
-    assert len(SUMMARY_KEYS) == 13 and names[1] == "n_paths"
+    assert len(SUMMARY_KEYS) == 11 and names[1] == "n_paths"
     values = kv(out)
     assert values["n_paths"] == "8"
     cfg = SimConfig(x1_0=2.0, x2_0=1.0, dt=0.25, horizon_T=2.0, n_paths=8, seed=99)
     summary = simulate_paths(cfg, UnconstrainedBarrier(beta=1.5), make_params()).summary
     for name in SUMMARY_KEYS:
         expected = getattr(summary, name)
-        if isinstance(expected, bool):
-            assert values[name] == ("true" if expected else "false"), name
-        elif math.isnan(expected):
+        if math.isnan(expected):
             assert values[name] == "nan", name
         else:
             assert float(values[name]) == expected, name  # 17 digits round-trip

@@ -2,6 +2,7 @@
 is declared once."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -30,11 +31,13 @@ def test_test_only_functions_are_gone():
         "coefficients", "value_constrained", "summary_lines", "generator_apply", "SeamError",
         "FD_MIN_STEP", "VolatilityNotPositive", "CorrelationOutOfRange", "ProfitabilityViolated",
         "DiscountTooLow", "RuinLevelNotPositive", "SolvencyLevelTooLow", "InjectionCostTooLow",
-        "BracketFailure", "MonotonicityError", "EmptyInput",
+        "BracketFailure", "MonotonicityError", "EmptyInput", "GridSpec", "_CHUNK_BUDGET",
     ):
         assert name not in fundiv.__all__
         assert not hasattr(fundiv, name)
         assert not any(hasattr(module, name) for module in MODULES)
+    # A CV that is NaN when undefined needs no flag beside it.
+    assert not [f.name for f in fields(fundiv.SimSummary) if f.name.endswith("_defined")]
 
 
 def test_every_raise_names_an_exported_error_or_value_error():

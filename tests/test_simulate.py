@@ -223,7 +223,7 @@ def test_compaction_across_chunks_and_tiles_is_bit_identical(monkeypatch):
 
     monkeypatch.setattr(simulate, "_CHUNK_STEPS", 64)
     monkeypatch.setattr(simulate, "_TILE_PATHS", 3)
-    monkeypatch.setattr(simulate, "_CHUNK_BUDGET", 2 * 64 * 2)
+    monkeypatch.setattr(simulate, "_STEP_BLOCK_PATHS", 2)
     for block in (2, 1):
         monkeypatch.setattr(simulate, "_BLOCK_PATHS", block)
         for workers in (1, 2):
@@ -293,7 +293,7 @@ def test_growth_buffers_are_bounded_by_a_step_block():
     # Doubling a tile past the step-block width adds per-path streams and
     # state but no growth buffers: tile-wide buffers would add
     # 2 * _CHUNK_STEPS scalars a path on top.
-    width = simulate._CHUNK_BUDGET // (2 * simulate._CHUNK_STEPS)
+    width = simulate._STEP_BLOCK_PATHS
     cfg = SimConfig(x1_0=1.5, x2_0=1.0, dt=1 / 50, horizon_T=0.04, n_paths=1, seed=3)
     p = make_params(kappa=1.05)
     peaks = []
@@ -485,7 +485,6 @@ def test_summarize_statistics():
     assert s.var_pv_dividends == pytest.approx(np.var(pvd, ddof=1))
     assert s.se_pv_dividends == pytest.approx(math.sqrt(np.var(pvd, ddof=1) / 4))
     assert s.cv_pv_dividends == pytest.approx(math.sqrt(np.var(pvd, ddof=1)) / 3.0)
-    assert s.cv_pv_dividends_defined
     assert s.ruin_fraction == 0.0
     assert s.mean_ruin_time_censored == 10.0
 
@@ -506,9 +505,8 @@ def test_summarize_statistics():
 
 def test_summarize_cv_undefined_for_nonpositive_mean():
     s = censored_run(np.zeros(4))
-    assert not s.cv_pv_dividends_defined
     assert math.isnan(s.cv_pv_dividends)
-    assert not s.cv_net_value_defined
+    assert math.isnan(s.cv_net_value)
 
 
 def test_summarize_single_path():
@@ -516,7 +514,6 @@ def test_summarize_single_path():
     assert s.var_pv_dividends == 0.0
     assert s.se_pv_dividends == 0.0
     assert s.cv_pv_dividends == 0.0
-    assert s.cv_pv_dividends_defined
 
 
 def test_paths_csv_round_trips():
