@@ -228,6 +228,11 @@ def cmd_sweep(args: argparse.Namespace, p: ModelParams) -> int:
             factor, _, name = default.rpartition(" ")
             default = (beta2() if name == "beta2*" else getattr(p, name)) * float(factor or 1)
         setattr(args, flag, default)
+    for lo in (flag for flag in owned if flag.endswith("_min")):
+        hi = lo.replace("_min", "_max")
+        low, high = getattr(args, lo), getattr(args, hi)
+        if not math.isfinite(high - low):
+            raise ConfigError(f"the span --{lo} {low} to --{hi} {high} overflows a float")
     rows: list[str] = []
     if args.kind == "beta2-vs-kappa":
         header = "kappa,beta2_star"

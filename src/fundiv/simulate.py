@@ -32,7 +32,8 @@ normals are drawn in draw blocks of ``_BLOCK_PATHS`` = 256 paths into a small
 staging buffer and folded into the growth buffers from there.  Tiles are the
 only unit of work: a serial run maps them in order, and a run on several
 workers hands them to a process pool (at most one process per CPU) one at a
-time.  A ruined path's outputs are written when it is ruined; its row is
+time.  A tile keeps its live paths' state in one working block, a column per
+path.  A ruined path's outputs are written when it is ruined; its column is
 dropped at the next chunk boundary, and a tile stops once none is left.
 """
 
@@ -48,7 +49,7 @@ from typing import IO, Union
 import numpy as np
 
 from .errors import ConfigError
-from .params import ModelParams, _fmt, require_kappa
+from .params import ModelParams, require_kappa
 
 __all__ = [
     "UnconstrainedBarrier",
@@ -326,18 +327,21 @@ def _run_tile(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Simulate paths [i0, i1); pure function of (cfg.seed, path index).
 
-    A ruined path's outputs are written when it is ruined, and its working
-    row is never read again, so per-path outputs do not depend on the chunk,
-    step block or tile size.  Under a ruin-stopped policy the working state
-    is compacted to the live paths at t = 0 and at every chunk boundary: a
-    ruined path neither draws nor steps past the end of its chunk.
+    The live paths' state is one ``(4, live)`` block (x1, x2 and the present
+    values of dividends and injections) with one ``rows`` vector, the tile
+    row of each column, and one ``alive`` mask.  A ruined path's ruin time and
+    dividends are written when it is ruined, the survivors' outputs at the
+    end, and a ruined column is never read again, so per-path outputs do not
+    depend on the chunk, step block or tile size.  At a chunk boundary one
+    ``keep`` drops the ruined columns from the block, ``rows``, ``alive`` and
+    the streams: a ruined path neither draws nor steps past its chunk.
 
-    Each chunk steps its live rows one step block at a time: a block draws
+    A chunk steps its live columns one step block at a time: a block draws
     its normals ``_BLOCK_PATHS`` paths at a time, folds them into its columns
     of the step-major growth buffers while the draws are in cache, takes
-    ``exp`` and runs the chunk's steps on its slice of the working state
-    before the next block starts.  The growth buffers are sized once, at the
-    first chunk's block width, and no buffer holds a whole chunk of draws.
+    ``exp`` and runs the chunk's steps on views of its columns; a step's
+    lumps reuse its applied row of x1 growth factors.  No buffer holds a
+    whole chunk of draws.
     """
     n = i1 - i0
     dt = cfg.dt
@@ -351,25 +355,23 @@ def _run_tile(
     beta = policy.beta
     alpha0 = p.alpha0
 
-    x1 = np.full(n, float(cfg.x1_0))
-    x2 = np.full(n, float(cfg.x2_0))
-    pvd = np.zeros(n)
-    pvi = np.zeros(n)  # indexed by tile row: only a policy that never ruins injects
+    state = np.zeros((4, n))  # x1, x2, pv of dividends, pv of injections
+    state[0], state[1] = cfg.x1_0, cfg.x2_0
+    rows = np.arange(n)  # tile row of each column of the state
     alive = np.ones(n, dtype=bool)
-    scratch = np.empty(n)
-    rows = np.arange(n)  # tile row of each path in the working state
-    ruin_time = np.full(n, float(cfg.horizon_T))  # indexed by tile row
-    pvd_out = np.zeros(n)
+    pvd_out, pvi_out = pv_out = np.zeros((2, n))  # by tile row
+    ruin_time = np.full(n, float(cfg.horizon_T))  # by tile row
     censored = np.zeros(n, dtype=bool)
 
-    def control(t: float, disc: float, x1, x2, pvd, pvi, alive, scratch, rows) -> None:
+    def control(t: float, disc: float, lump: np.ndarray, view: tuple) -> None:
+        x1, x2, pvd, pvi, alive, rows = view
         if injecting:
-            np.multiply(x2, policy.gamma, out=scratch)
-            np.subtract(scratch, x1, out=scratch)
-            np.maximum(scratch, 0.0, out=scratch)
-            np.add(x1, scratch, out=x1)
-            np.multiply(scratch, disc, out=scratch)
-            np.add(pvi, scratch, out=pvi)
+            np.multiply(x2, policy.gamma, out=lump)
+            np.subtract(lump, x1, out=lump)
+            np.maximum(lump, 0.0, out=lump)
+            np.add(x1, lump, out=x1)
+            np.multiply(lump, disc, out=lump)
+            np.add(pvi, lump, out=pvi)
         else:
             ruined_now = x1 <= alpha0 * x2
             ruined_now &= alive
@@ -377,38 +379,31 @@ def _run_tile(
                 ruin_time[rows[ruined_now]] = t
                 pvd_out[rows[ruined_now]] = pvd[ruined_now]
                 alive[ruined_now] = False
-        np.multiply(x2, beta, out=scratch)
-        np.subtract(x1, scratch, out=scratch)
-        np.maximum(scratch, 0.0, out=scratch)
-        np.subtract(x1, scratch, out=x1)
-        np.multiply(scratch, disc, out=scratch)
-        np.add(pvd, scratch, out=pvd)
+        np.multiply(x2, beta, out=lump)
+        np.subtract(x1, lump, out=lump)
+        np.maximum(lump, 0.0, out=lump)
+        np.subtract(x1, lump, out=x1)
+        np.multiply(lump, disc, out=lump)
+        np.add(pvd, lump, out=pvd)
 
-    def compact() -> list[int]:
-        """Drop the ruined paths and return the kept positions."""
-        nonlocal rows, x1, x2, pvd, alive, scratch
-        keep = np.flatnonzero(alive)
-        rows, x1, x2, pvd, alive = rows[keep], x1[keep], x2[keep], pvd[keep], alive[keep]
-        scratch = scratch[: keep.size]
-        return keep.tolist()
-
-    control(0.0, 1.0, x1, x2, pvd, pvi, alive, scratch, rows)
-    if not alive.all():
-        compact()
-    if not rows.size:
-        return pvd_out, pvi, ruin_time, censored
-
-    rngs = _path_streams(int(cfg.seed), i0 + rows, cfg.antithetic)
-    # Later chunks split their fewer live rows at most this wide, so the
+    control(0.0, 1.0, np.empty(n), (*state, alive, rows))
+    # Every path starts at one point, so at t = 0 either all of them or none is ruined.
+    rngs = _path_streams(int(cfg.seed), i0 + rows, cfg.antithetic) if alive.all() else []
+    # Later chunks split their fewer live columns at most this wide, so the
     # growth buffers sized here hold any chunk's step block.
-    width = _even_width(rows.size, _STEP_BLOCK_PATHS)
+    width = _even_width(n, _STEP_BLOCK_PATHS)
     block = min(_BLOCK_PATHS, width)
     stage_buf = np.empty((block, _CHUNK_STEPS, 2))
     mixed_buf = np.empty(_CHUNK_STEPS * block)
     grow_a_buf = np.empty(_CHUNK_STEPS * width)
     grow_l_buf = np.empty(_CHUNK_STEPS * width)
     k = 0
-    while k < n_steps and rows.size:
+    while k < n_steps and alive.any():
+        if not alive.all():
+            keep = np.flatnonzero(alive)
+            # take keeps each row contiguous, where state[:, keep] would stride it.
+            state, rows, alive = state.take(keep, axis=1), rows[keep], alive[keep]
+            rngs = [rngs[j] for j in keep.tolist()]
         m = min(_CHUNK_STEPS, n_steps - k)
         live = rows.size
         outs = list(stage_buf[:, :m])  # one row view per path of a draw block
@@ -440,20 +435,16 @@ def _run_tile(
             np.exp(grow_l, out=grow_l)
             np.add(grow_a, drift_a, out=grow_a)
             np.exp(grow_a, out=grow_a)
-            view = [a[s0:s1] for a in (x1, x2, pvd, pvi, alive, scratch, rows)]
-            bx1, bx2 = view[:2]
-            for j in range(m):
-                np.multiply(bx1, grow_a[j], out=bx1)
-                np.multiply(bx2, grow_l[j], out=bx2)
-                control((k + j + 1) * dt, disc[j], *view)
+            x1, x2, *_ = view = (*state[:, s0:s1], alive[s0:s1], rows[s0:s1])
+            for j, (g_a, g_l) in enumerate(zip(grow_a, grow_l)):
+                np.multiply(x1, g_a, out=x1)
+                np.multiply(x2, g_l, out=x2)
+                control((k + j + 1) * dt, disc[j], g_a, view)
         k += m
-        if k < n_steps and not alive.all():
-            rngs = [rngs[j] for j in compact()]
 
-    still = rows[alive]
-    pvd_out[still] = pvd[alive]
-    censored[still] = True
-    return pvd_out, pvi, ruin_time, censored
+    pv_out[:, rows[alive]] = state[2:, alive]
+    censored[rows[alive]] = True
+    return pvd_out, pvi_out, ruin_time, censored
 
 
 def simulate_paths(cfg: SimConfig, policy: Policy, p: ModelParams) -> SimResult:
@@ -514,13 +505,11 @@ def paired_compare(
 
 
 def _write_csv(fh: IO[str], header: str, columns: tuple[np.ndarray, ...]) -> None:
-    """Write ``path_index`` and the columns, one row per path: floats via ``_fmt``, flags 0/1."""
+    """One row per path: ``path_index``, then the columns (flags 0/1, floats as ``params._fmt``)."""
     fh.write(f"path_index,{header}\n")
-    cells = [
-        np.where(col, "1", "0").tolist() if col.dtype == bool else map(_fmt, col.tolist())
-        for col in columns
-    ]
-    fh.writelines(f"{i},{','.join(row)}\n" for i, row in enumerate(zip(*cells)))
+    template = ",".join(["%d"] + ["%d" if c.dtype == bool else "%.17g" for c in columns]) + "\n"
+    rows = zip(range(columns[0].size), *(c.tolist() for c in columns))
+    fh.writelines(template % row for row in rows)
 
 
 def write_paths_csv(result: SimResult, fh: IO[str]) -> None:

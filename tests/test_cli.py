@@ -566,6 +566,23 @@ def test_sweep_non_finite_float_flag_exits_1_naming_it(capsys, p1_config, kind, 
     assert err == f"error: --{flag} {text} must be finite\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, lo", [
+    (kind, flag) for kind, owned in cli._SWEEP_FLAGS.items()
+    for flag in owned if flag.endswith("_min")
+])
+def test_sweep_span_that_overflows_exits_1_naming_both_flags(capsys, p1_config, kind, lo):
+    # Both bounds are finite, but their difference is not: np.linspace would
+    # warn and fill the grid with nan.
+    hi = lo.replace("_min", "_max")
+    rc, out, err = run_cli(
+        capsys, "sweep", "--config", p1_config, "--kappa", "1.05", "--kind", kind,
+        f"--{lo}", "-1.7e308", f"--{hi}", "1.7e308",
+    )
+    assert (rc, out) == (1, "")
+    assert err == f"error: the span --{lo} -1.7e+308 to --{hi} 1.7e+308 overflows a float\n"
+
+
 def test_verify_overflowing_barrier_exits_2_with_a_report(capsys, p1_config):
     rc, out, err = run_cli(
         capsys, "verify", "--config", p1_config, "--alpha1", "1.2",

@@ -216,6 +216,14 @@ def test_compaction_across_chunks_and_tiles_is_bit_identical(monkeypatch):
         (cfg, DoubleBarrier(beta=1.8, gamma=1.0)),
     ]
     reference = [simulate_paths(c, pol, p) for c, pol in cases]
+
+    def assert_injects_nothing(ruin_stopped):
+        # Exactly +0.0 for every path: a policy that stops at ruin never injects.
+        for result in ruin_stopped:
+            assert not result.pv_injections.any()
+            assert not np.signbit(result.pv_injections).any()
+
+    assert_injects_nothing(reference[:2])
     # Ruins land in every chunk, one path survives: compaction really runs.
     ruin_chunk = np.ceil(reference[0].ruin_time / cfg.dt / 64)
     assert set(ruin_chunk[~reference[0].censored]) == {1, 2, 3}
@@ -227,8 +235,10 @@ def test_compaction_across_chunks_and_tiles_is_bit_identical(monkeypatch):
     for block in (2, 1):
         monkeypatch.setattr(simulate, "_BLOCK_PATHS", block)
         for workers in (1, 2):
-            for (c, pol), ref in zip(cases, reference):
-                assert_same_paths(simulate_paths(replace(c, n_workers=workers), pol, p), ref)
+            results = [simulate_paths(replace(c, n_workers=workers), pol, p) for c, pol in cases]
+            assert_injects_nothing(results[:2])
+            for result, ref in zip(results, reference):
+                assert_same_paths(result, ref)
 
 
 class _CountingStream:
