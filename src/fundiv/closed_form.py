@@ -136,6 +136,8 @@ class ClosedFormValue:
 
     def value_at_barrier(self, x2: float = 1.0) -> float:
         """Value on the payout ray, V(beta * x2, x2)."""
+        if not x2 > 0.0:
+            raise DomainError(f"x2 = {float(x2)!r} must be positive")
         return x2 * self.evaluate(self.beta, 1.0)
 
     def evaluate(self, x1: float | np.ndarray, x2: float | np.ndarray) -> float | np.ndarray:

@@ -15,12 +15,16 @@ The generator of the asset-liability diffusion acts on smooth f as
           + (sigma_A^2 / 2) x1^2 f_x1x1 + (sigma_L^2 / 2) x2^2 f_x2x2
           + rho sigma_A sigma_L x1 x2 f_x1x2.
 
+The value is homogeneous of degree one, so every check sits on the ray
+x2 = 1: the grid is one of funding ratios r, and each x2 above is 1.
 Residuals of (A - delta)f are reported relative to the sum of the magnitudes
 of the individual terms, which is the natural scale for a sum that should
-cancel.  Finite-difference mode uses central stencils on the same arrays,
-with steps 1e-5 relative to each coordinate; a grid point whose stencil
-would straddle the payout barrier moves three stencil widths off it rather
-than being differenced across the kink.
+cancel.  Finite-difference mode uses central 9-point stencils on the same
+arrays, with steps 1e-5 relative to each coordinate, and evaluates all nine
+points of every stencil in one call; a grid point whose stencil would
+straddle the payout barrier moves three stencil widths off it rather than
+being differenced across the kink.  A one-sided stencil on one ray steps
+toward the other by the same relative step, capped at half the gap.
 """
 
 from __future__ import annotations
@@ -89,50 +93,43 @@ class VerificationReport:
         return (_flat_text(head) + conditions + _flat_text({"passed": self.passed}))[:-1]
 
 
-def _steps(x1, x2):
-    """Central-difference steps at (x1, x2), relative to each coordinate (read at call time)."""
-    return FD_REL_STEP * x1, FD_REL_STEP * x2
+#: Offsets of the 9-point central stencil, in steps of x1 (first row) and of x2.
+_STENCIL = np.array([[0, 1, -1, 0, 0, 1, 1, -1, -1], [0, 0, 0, 1, -1, 1, -1, 1, -1]], dtype=float)
 
 
 def _stencil_span(r):
     """Range of funding ratios touched by the 9-point central stencil at (r, 1)."""
-    h1, h2 = _steps(r, 1.0)
+    h1, h2 = FD_REL_STEP * r, FD_REL_STEP
     return (r - h1) / (1.0 + h2), (r + h1) / (1.0 - h2)
 
 
-def _fd_partials(fn, x1, x2):
-    ev = fn.evaluate
-    h1, h2 = _steps(x1, x2)
-    f0 = ev(x1, x2)
-    fp = ev(x1 + h1, x2)
-    fm = ev(x1 - h1, x2)
-    gp = ev(x1, x2 + h2)
-    gm = ev(x1, x2 - h2)
-    fpp = ev(x1 + h1, x2 + h2)
-    fpm = ev(x1 + h1, x2 - h2)
-    fmp = ev(x1 - h1, x2 + h2)
-    fmm = ev(x1 - h1, x2 - h2)
+def _fd_partials(fn, r):
+    """Central-difference partials at (r, 1) from one evaluation of the stencil."""
+    h1, h2 = FD_REL_STEP * r, FD_REL_STEP
+    u, v = _STENCIL.reshape(2, 9, *(1,) * np.ndim(r))
+    f0, fp, fm, gp, gm, fpp, fpm, fmp, fmm = fn.evaluate(r + u * h1, 1.0 + v * h2)
     d1 = (fp - fm) / (2.0 * h1)
     d2 = (gp - gm) / (2.0 * h2)
     d11 = (fp - 2.0 * f0 + fm) / (h1 * h1)
     d22 = (gp - 2.0 * f0 + gm) / (h2 * h2)
     d12 = (fpp - fpm - fmp + fmm) / (4.0 * h1 * h2)
-    return d1, d2, d11, d22, d12
+    parts = d1, d2, d11, d22, d12
+    return parts if np.ndim(r) else tuple(map(float, parts))
 
 
-def _generator_terms(partials, x1, x2, p: ModelParams):
-    """The five terms of A f at (x1, x2), from the partials of f.
+def _generator_terms(partials, r, p: ModelParams):
+    """The five terms of A f at (r, 1), from the partials of f.
 
-    Each coordinate multiplies its partial one at a time: x1 * x1 overflows
+    The ratio multiplies its partial one factor at a time: r * r overflows
     for ratios above ~1.3e154 where the term itself is finite.
     """
     d1, d2, d11, d22, d12 = partials
     return (
-        p.mu_A * x1 * d1,
-        p.mu_L * x2 * d2,
-        0.5 * p.sigma_A * p.sigma_A * x1 * (x1 * d11),
-        0.5 * p.sigma_L * p.sigma_L * x2 * (x2 * d22),
-        p.rho * p.sigma_A * p.sigma_L * x1 * (x2 * d12),
+        p.mu_A * r * d1,
+        p.mu_L * d2,
+        0.5 * p.sigma_A * p.sigma_A * r * (r * d11),
+        0.5 * p.sigma_L * p.sigma_L * d22,
+        p.rho * p.sigma_A * p.sigma_L * r * d12,
     )
 
 
@@ -146,8 +143,10 @@ def _clear_of_kink(r: np.ndarray, level: float, edge: float) -> np.ndarray:
     return np.where((lo <= level) & (level <= hi), shifted, r)
 
 
-def _one_sided(fn, r: float, h: float) -> tuple[float, float]:
-    """Second-order one-sided d/dx1 and d2/dx1^2 at (r, 1) from r, r - h and r - 2h."""
+def _one_sided(fn, r: float, toward: float) -> tuple[float, float]:
+    """Second-order one-sided d/dx1 and d2/dx1^2 at (r, 1) from r, r - h and r - 2h,
+    stepping toward ``toward`` by FD_REL_STEP r capped at half the gap (none: NaN)."""
+    h = math.copysign(min(FD_REL_STEP * r, abs(r - toward) / 2), r - toward) or math.nan
     f0, f1, f2 = fn.evaluate(r - np.array([0.0, 1.0, 2.0]) * h, 1.0)
     d1 = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
     d11 = (f0 - 2.0 * f1 + f2) / (h * h)
@@ -176,8 +175,8 @@ def _grid_pass(fn, p: ModelParams, level: float, mode: str):
         # Keep the whole stencil inside the domain (ratios >= alpha0) and off the kink.
         edge = p.alpha0 * (1.0 + 10.0 * FD_REL_STEP)
         r_eff = _clear_of_kink(np.maximum(r, edge), level, edge)
-        parts = _fd_partials(fn, r_eff, 1.0)
-    terms = (*_generator_terms(parts, r_eff, 1.0, p), -p.delta * fn.evaluate(r_eff, 1.0))
+        parts = _fd_partials(fn, r_eff)
+    terms = (*_generator_terms(parts, r_eff, p), -p.delta * fn.evaluate(r_eff, 1.0))
     gen = sum(terms) / np.maximum(sum(np.abs(t) for t in terms), 1e-300)
     return r, value, r_eff, np.column_stack(parts), gen
 
@@ -196,10 +195,8 @@ def _pasting(fn, level: float, mode: str, mid_curvature=None) -> list[float]:
         out = [abs(below[0] - 1.0), abs(below[1] - above_d2) / max(1.0, abs(above_d2))]
         curvatures = below[2:]
     else:
-        # One-sided slope from below carries only the fd truncation term.  Its step is
-        # capped to keep the stencil >= alpha0; a barrier at alpha0 leaves none: NaN fails.
-        h = min(FD_REL_STEP * level, 0.5 * (level - fn.alpha0)) or math.nan
-        d1b, d11b = _one_sided(fn, level, h)
+        # One-sided from below: only the fd truncation term; a barrier at alpha0 fails on NaN.
+        d1b, d11b = _one_sided(fn, level, fn.alpha0)
         out = [abs(d1b - 1.0)]
         curvatures = (d11b,)
     if mid_curvature is not None:
@@ -309,9 +306,8 @@ def check_injection_lemma(
     if mode == "analytic":
         d1_floor = dv.partials(p.alpha0, 1.0)[0]
     else:
-        # Capped as in _pasting, so the stencil stays below the barrier's kink.
-        h = min(FD_REL_STEP * p.alpha0, 0.5 * (level - p.alpha0)) or math.nan
-        d1_floor = _one_sided(dv, p.alpha0, -h)[0]
+        # The stencil steps up from alpha0 and stays below the barrier's kink.
+        d1_floor = _one_sided(dv, p.alpha0, level)[0]
     pasting = _pasting(dv, level, mode, mid_curvature) + [abs(d1_floor - kappa) / kappa]
     d1 = parts[:, 0]
     return _report("injection", level, mode, p, [

@@ -240,6 +240,18 @@ def test_value_at_barrier_identity():
     assert cf.value_at_barrier() == pytest.approx(P1_VALUE_AT_BARRIER, rel=1e-14)
 
 
+def test_value_at_barrier_rejects_x2_as_evaluate_does():
+    cf = closed_form_value(P1_BETA0, make_params())
+    for x2 in (-1.0, 0.0, math.nan):
+        msg = f"x2 = {x2!r} must be positive"
+        with pytest.raises(DomainError, match=f"^{msg}$"):
+            cf.evaluate(P1_BETA0 * abs(x2), x2)
+        with pytest.raises(DomainError, match=f"^{msg}$"):
+            cf.value_at_barrier(x2)
+    for x2 in (1.0, 3.7):
+        assert cf.value_at_barrier(x2) == x2 * cf.evaluate(cf.beta, 1.0)
+
+
 def test_constrained_barrier_two_regimes():
     loose = make_params(alpha1=1.2)
     binding = make_params(alpha1=5.0)

@@ -19,7 +19,9 @@ from fundiv import (
     SimConfig,
     SolvencyConstrained,
     UnconstrainedBarrier,
+    constrained_barrier_beta1,
     optimal_barrier_beta0,
+    optimal_barrier_beta2,
     paired_compare,
     simulate,
     simulate_paths,
@@ -240,6 +242,94 @@ def test_compaction_across_chunks_and_tiles_is_bit_identical(monkeypatch):
             for result, ref in zip(results, reference):
                 assert_same_paths(result, ref)
 
+
+
+def patch_small_geometry(monkeypatch):
+    # 64-step chunks and tiles of 48 paths, stepped in blocks of 16.
+    monkeypatch.setattr(simulate, "_CHUNK_STEPS", 64)
+    monkeypatch.setattr(simulate, "_TILE_PATHS", 48)
+    monkeypatch.setattr(simulate, "_STEP_BLOCK_PATHS", 16)
+
+
+SCALE_CFG = SimConfig(x1_0=1.5, x2_0=1.0, dt=0.02, horizon_T=20.0, n_paths=200, seed=5)
+
+
+def scaling_cases():
+    p = make_params(alpha1=1.2, kappa=1.05)
+    return p, [
+        UnconstrainedBarrier(beta=optimal_barrier_beta0(p)),
+        SolvencyConstrained(beta=constrained_barrier_beta1(p), alpha1=1.2),
+        DoubleBarrier(beta=optimal_barrier_beta2(p), gamma=p.alpha0),
+    ]
+
+
+def assert_scaled_start_scales_the_values(p, policy, cfg, k, reference=None):
+    # Each engine operation is a product by a growth factor, x1 less a multiple of
+    # x2, or a comparison of x1 with a multiple of x2: each commutes exactly with
+    # a power of two, away from overflow and subnormals.
+    ref = reference or simulate_paths(cfg, policy, p)
+    scaled = replace(cfg, x1_0=cfg.x1_0 * 2.0**k, x2_0=cfg.x2_0 * 2.0**k)
+    result = simulate_paths(scaled, policy, p)
+    for field in ("pv_dividends", "pv_injections"):
+        assert np.array_equal(getattr(result, field), getattr(ref, field) * 2.0**k), field
+    for field in ("ruin_time", "censored"):
+        assert np.array_equal(getattr(result, field), getattr(ref, field)), field
+
+
+def test_start_scaled_by_a_power_of_two_scales_the_values_exactly(monkeypatch):
+    p, policies = scaling_cases()
+    refs = [simulate_paths(SCALE_CFG, pol, p) for pol in policies]
+    # Not vacuous: paths pay, the ruin-stopped ones ruin, the double barrier injects.
+    assert all(ref.pv_dividends.any() for ref in refs)
+    assert not refs[0].censored.all() and refs[2].censored.all()
+    assert refs[2].pv_injections.any()
+    for k in (-40, 7, 300):
+        for pol, ref in zip(policies, refs):
+            assert_scaled_start_scales_the_values(p, pol, SCALE_CFG, k, ref)
+    patch_small_geometry(monkeypatch)
+    for pol, ref in zip(policies, refs):
+        assert_scaled_start_scales_the_values(p, pol, SCALE_CFG, -40, ref)
+
+
+@settings(max_examples=4, deadline=None)
+@given(k=st.integers(-200, 300), case=st.integers(0, 2))
+def test_start_scaled_by_any_power_of_two_scales_the_values_exactly(k, case):
+    p, policies = scaling_cases()
+    assert_scaled_start_scales_the_values(p, policies[case], replace(SCALE_CFG, n_paths=50), k)
+
+
+HORIZON_CFG = SimConfig(x1_0=2.0, x2_0=1.0, dt=0.02, horizon_T=40.0, n_paths=400, seed=9)
+
+
+def assert_horizon_prefix(t1, reference=None):
+    # Each path draws its own stream in step order, so a shorter run is a prefix
+    # of a longer one: the same paths ruin by t1, at the same times, having paid
+    # the same dividends.
+    p = make_params()
+    policy = UnconstrainedBarrier(beta=optimal_barrier_beta0(p))
+    long = reference or simulate_paths(HORIZON_CFG, policy, p)
+    short = simulate_paths(replace(HORIZON_CFG, horizon_T=t1), policy, p)
+    ruined = ~short.censored
+    assert np.array_equal(ruined, ~long.censored & (long.ruin_time <= t1))
+    assert np.array_equal(short.ruin_time[ruined], long.ruin_time[ruined])
+    assert np.array_equal(short.pv_dividends[ruined], long.pv_dividends[ruined])
+    return ruined
+
+
+def test_shorter_horizon_is_a_prefix_of_a_longer_one(monkeypatch):
+    p = make_params()
+    long = simulate_paths(HORIZON_CFG, UnconstrainedBarrier(beta=optimal_barrier_beta0(p)), p)
+    for t1 in (3.0, 10.0, 25.6):
+        ruined = assert_horizon_prefix(t1, long)
+        assert 0 < ruined.sum() < (~long.censored).sum()
+    patch_small_geometry(monkeypatch)
+    assert_horizon_prefix(10.0, long)
+
+
+@settings(max_examples=4, deadline=None)
+@given(steps=st.integers(1, 1999))
+def test_any_whole_step_horizon_is_a_prefix_of_a_longer_one(steps):
+    assert_horizon_prefix(steps * HORIZON_CFG.dt)
 
 class _CountingStream:
     """A Generator stand-in that counts the normals drawn through it."""

@@ -21,7 +21,7 @@ from fundiv import (
     optimal_barrier_beta2,
     verify,
 )
-from helpers import P1, make_params
+from helpers import P1, make_params, random_params
 
 
 def solvency_params(alpha1=1.2):
@@ -152,7 +152,7 @@ def test_smooth_fit_unknown_problem():
 
 
 def generator(parts, r, p):
-    return sum(verify._generator_terms(parts, r, 1.0, p))
+    return sum(verify._generator_terms(parts, r, p))
 
 
 def test_generator_identity_inside_band():
@@ -170,7 +170,7 @@ def test_generator_fd_matches_analytic():
     pk = injection_params()
     dv = double_barrier_value(optimal_barrier_beta2(pk), pk.alpha0, pk)
     for fn, r, q in [(cf, 2.0, p), (cf, 5.0, p), (dv, 1.4, pk)]:
-        approx = generator(verify._fd_partials(fn, r, 1.0), r, q)
+        approx = generator(verify._fd_partials(fn, r), r, q)
         assert approx == pytest.approx(generator(fn.partials(r, 1.0), r, q), rel=1e-4, abs=1e-8)
 
 
@@ -183,7 +183,7 @@ def test_generator_fd_is_second_order(monkeypatch):
     def fd_error(value_fn, r, p, h_rel):
         monkeypatch.setattr(verify, "FD_REL_STEP", h_rel)
         exact = generator(value_fn.partials(r, 1.0), r, p)
-        return abs(generator(verify._fd_partials(value_fn, r, 1.0), r, p) - exact)
+        return abs(generator(verify._fd_partials(value_fn, r), r, p) - exact)
 
     def slope(value_fn, r, p):
         err_coarse, err_fine = (fd_error(value_fn, r, p, h) for h in (h_coarse, h_fine))
@@ -198,6 +198,41 @@ def test_generator_fd_is_second_order(monkeypatch):
     dv = double_barrier_value(optimal_barrier_beta2(pk), pk.alpha0, pk)
     assert 1.8 <= slope(dv, 1.4, pk) <= 2.2
 
+
+
+def nine_call_partials(fn, x1, x2=1.0):
+    """The central-difference partials from nine separate evaluations: the reference."""
+    ev = fn.evaluate
+    h1, h2 = verify.FD_REL_STEP * x1, verify.FD_REL_STEP * x2
+    f0 = ev(x1, x2)
+    fp, fm = ev(x1 + h1, x2), ev(x1 - h1, x2)
+    gp, gm = ev(x1, x2 + h2), ev(x1, x2 - h2)
+    fpp, fpm = ev(x1 + h1, x2 + h2), ev(x1 + h1, x2 - h2)
+    fmp, fmm = ev(x1 - h1, x2 + h2), ev(x1 - h1, x2 - h2)
+    return (
+        (fp - fm) / (2.0 * h1),
+        (gp - gm) / (2.0 * h2),
+        (fp - 2.0 * f0 + fm) / (h1 * h1),
+        (gp - 2.0 * f0 + gm) / (h2 * h2),
+        (fpp - fpm - fmp + fmm) / (4.0 * h1 * h2),
+    )
+
+
+def test_one_stencil_evaluation_matches_nine():
+    rng = np.random.default_rng(2024)
+    for p in [injection_params(), *(random_params(rng, with_kappa=True) for _ in range(3))]:
+        for fn in (
+            closed_form_value(optimal_barrier_beta0(p), p),
+            double_barrier_value(optimal_barrier_beta2(p), p.alpha0, p),
+        ):
+            edge = p.alpha0 * (1.0 + 10.0 * verify.FD_REL_STEP)
+            grid = np.geomspace(edge, 3.0 * fn.beta, verify.N_GRID)
+            for got, want in zip(verify._fd_partials(fn, grid), nine_call_partials(fn, grid)):
+                assert np.array_equal(got, want)
+            r = float(grid[verify.N_GRID // 3])
+            scalar = verify._fd_partials(fn, r)
+            assert all(type(d) is float for d in scalar)
+            assert scalar == nine_call_partials(fn, r)
 
 def test_lemma_checks_require_their_optional_parameter():
     with pytest.raises(MissingParameter):
@@ -295,10 +330,10 @@ def test_grid_pass_matches_per_point_calls(problem, mode, monkeypatch):
             if x != max(r[i], edge):
                 assert abs(x - r[i]) <= 1e-3 * r[i]
         scalar_parts = (
-            fn.partials(x, 1.0) if mode == "analytic" else verify._fd_partials(fn, x, 1.0)
+            fn.partials(x, 1.0) if mode == "analytic" else verify._fd_partials(fn, x)
         )
         assert tuple(parts[i]) == tuple(scalar_parts)
-        terms = (*verify._generator_terms(scalar_parts, x, 1.0, p), -p.delta * fn.evaluate(x, 1.0))
+        terms = (*verify._generator_terms(scalar_parts, x, p), -p.delta * fn.evaluate(x, 1.0))
         expected = math.fsum(terms) / max(sum(abs(t) for t in terms), 1e-300)
         assert gen[i] == pytest.approx(expected, rel=0, abs=8 * np.finfo(float).eps)
 
