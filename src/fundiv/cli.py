@@ -114,6 +114,15 @@ def _value_fn(
     return fn
 
 
+def _checked_read(fn: closed_form.ClosedFormValue, x1: float, x2: float) -> tuple:
+    """The value of ``fn`` and its first partials at (x1, x2); a non-finite one is an overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        read = (fn.evaluate(x1, x2), *fn.partials(x1, x2)[:2])
+    if not np.isfinite(read).all():
+        raise NumericalError(f"value {read[0]!r} or its slopes overflow at ({x1!r}, {x2!r})")
+    return read
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -129,7 +138,7 @@ def cmd_barriers(args: argparse.Namespace, p: ModelParams) -> int:
         record[f"beta{star}_star"] = fn.beta
         if fn.kappa is not None:  # only the injection problem has a ray to report
             record["gamma_star"] = fn.gamma
-        record[f"value_at_beta{star}"] = fn.value_at_barrier()
+        record[f"value_at_beta{star}"] = _checked_read(fn, fn.beta, 1.0)[0]
     with _open_output(args.output, p) as fh:
         fh.write(_flat_text(record))
     return 0
@@ -138,19 +147,14 @@ def cmd_barriers(args: argparse.Namespace, p: ModelParams) -> int:
 def cmd_value(args: argparse.Namespace, p: ModelParams) -> int:
     if args.gamma is not None and args.problem != "injection":
         raise ConfigError(f"--gamma has no injection ray to set for --problem {args.problem}")
-    scale = args.scale if args.scale is not None else 1.0
-    for flag, given in (("x1", args.x1), ("x2", args.x2), ("scale", scale)):
+    for flag, given in (("x1", args.x1), ("x2", args.x2), ("scale", args.scale)):
         if not math.isfinite(given):
             raise DomainError(f"--{flag} {given!r} must be finite")
-    if not scale > 0.0:
-        raise DomainError(f"--scale {scale!r} must be positive")
-    x1, x2 = args.x1 * scale, args.x2 * scale
+    if not args.scale > 0.0:
+        raise DomainError(f"--scale {args.scale!r} must be positive")
+    x1, x2 = args.x1 * args.scale, args.x2 * args.scale
     fn = _value_fn(args.problem, p, args.beta, args.gamma)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = fn.evaluate(x1, x2)
-        d1, d2 = fn.partials(x1, x2)[:2]
-    if not np.isfinite([value, d1, d2]).all():
-        raise NumericalError(f"value {value!r} or its slopes overflow at ({x1!r}, {x2!r})")
+    value, d1, d2 = _checked_read(fn, x1, x2)
     ratio = x1 / x2
     if ratio > fn.beta:
         branch = "above-barrier"
@@ -286,39 +290,37 @@ def cmd_verify(args: argparse.Namespace, p: ModelParams) -> int:
 # parser
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("model parameters")
-    group.add_argument("--config", help="flat 'key = value' parameter file")
-    for name in _ALL_FIELDS:
-        group.add_argument(f"--{name}", type=float, default=None, help=f"model field {name}")
-    parser.add_argument("--output", default=None, help="write output to this file (default stdout)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fundiv",
         description="Optimal dividend barriers on a funding ratio, with Monte Carlo checks.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # the flags every subcommand takes
+    group = shared.add_argument_group("model parameters")
+    group.add_argument("--config", help="flat 'key = value' parameter file")
+    for name in _ALL_FIELDS:
+        group.add_argument(f"--{name}", type=float, default=None, help=f"model field {name}")
+    shared.add_argument("--output", default=None, help="write output to this file (default stdout)")
 
-    p_bar = sub.add_parser("barriers", help="print exponents, optimal barriers, barrier values")
-    _add_param_flags(p_bar)
-    p_bar.set_defaults(func=cmd_barriers)
+    def command(name, func, text) -> argparse.ArgumentParser:
+        p_cmd = sub.add_parser(name, parents=[shared], help=text)
+        p_cmd.set_defaults(func=func)
+        return p_cmd
 
-    p_val = sub.add_parser("value", help="evaluate a value function at a point")
-    _add_param_flags(p_val)
+    command("barriers", cmd_barriers, "print exponents, optimal barriers, barrier values")
+
+    p_val = command("value", cmd_value, "evaluate a value function at a point")
     p_val.add_argument("--problem", choices=("unconstrained", "solvency", "injection"),
                        required=True)
     p_val.add_argument("--x1", type=float, required=True)
     p_val.add_argument("--x2", type=float, required=True)
     p_val.add_argument("--beta", type=float, default=None, help="barrier override")
     p_val.add_argument("--gamma", type=float, default=None, help="injection ray override")
-    p_val.add_argument("--scale", type=float, default=None,
+    p_val.add_argument("--scale", type=float, default=1.0,
                        help="multiply both coordinates (homogeneity check)")
-    p_val.set_defaults(func=cmd_value)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo paths under a policy")
-    _add_param_flags(p_sim)
+    p_sim = command("simulate", cmd_simulate, "Monte Carlo paths under a policy")
     p_sim.add_argument("--policy", choices=_POLICIES, required=True)
     p_sim.add_argument("--beta", type=float, default=None, help="barrier override")
     p_sim.add_argument("--gamma", type=float, default=None, help="injection ray override")
@@ -331,24 +333,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a second policy on the same shocks")
     p_sim.add_argument("--policy_b", choices=_POLICIES, default=None)
     p_sim.add_argument("--beta_b", type=float, default=None)
-    p_sim.set_defaults(func=cmd_simulate)
 
-    p_swp = sub.add_parser("sweep", help="parameter sweeps as CSV")
-    _add_param_flags(p_swp)
+    p_swp = command("sweep", cmd_sweep, "parameter sweeps as CSV")
     p_swp.add_argument("--kind", choices=_SWEEP_FLAGS, required=True)
     for flag, kinds in _SWEEP_KINDS_OF.items():
         p_swp.add_argument(
             f"--{flag}", type=int if flag.endswith("steps") else float, default=None,
             help=f"--kind {' or '.join(kinds)} only (default {_SWEEP_FLAGS[kinds[0]][flag]})",
         )
-    p_swp.set_defaults(func=cmd_sweep)
 
-    p_ver = sub.add_parser("verify", help="check the verification-lemma conditions")
-    _add_param_flags(p_ver)
+    p_ver = command("verify", cmd_verify, "check the verification-lemma conditions")
     p_ver.add_argument("--problem", choices=(*_LEMMAS, "both"), default="both")
     p_ver.add_argument("--barrier-override", dest="barrier_override", type=float, default=None)
     p_ver.add_argument("--mode", choices=verify.MODES, default="analytic")
-    p_ver.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -381,8 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 0 if code == 0 else 1
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args, _gather_params(args))
     except tuple(_EXIT_CODES) as exc:

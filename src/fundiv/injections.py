@@ -81,8 +81,10 @@ def double_barrier_value(beta: float, gamma: float, p: ModelParams) -> ClosedFor
             z1 * _rpow(t, z1 - 1.0) * (1.0 - _rpow(t, z2 - z1))
         )
     except OverflowError:
-        raise NumericalError(f"band weights overflow at beta = {beta!r}, gamma = {gamma!r}") from None
+        a = math.nan
     b = (kappa * gamma - z1 * a) / z2
+    if not (math.isfinite(a) and math.isfinite(b)):  # t = inf gives nan, not OverflowError
+        raise NumericalError(f"band weights overflow at beta = {beta!r}, gamma = {gamma!r}")
     return ClosedFormValue(
         beta=beta, gamma=gamma, alpha0=p.alpha0, kappa=kappa, exponents=e, A=a, B=b
     )
@@ -127,7 +129,6 @@ def optimal_barrier_beta2(p: ModelParams) -> float:
     an absolute tolerance of 1e-12 * alpha0, or to adjacent floats where
     their spacing is wider.
     """
-    require_kappa(p)
     gamma = p.alpha0
     lo = p.alpha0 * (1.0 + 1e-12)
     hi = 2.0 * p.alpha0
@@ -178,8 +179,11 @@ def breakeven_kappa(p: ModelParams, kappa_cap: float = 1e3) -> float:
     value negative, otherwise :class:`NoBreakeven` is raised; monotone decay
     of the floor value in kappa is asserted on an 8-point sample first and a
     violation raises :class:`NumericalError` rather than guessing at a
-    bracket.  ``p.kappa`` is ignored.
+    bracket.  ``p.kappa`` is ignored; a cap that is not a finite number above
+    ``KAPPA_LO`` raises :class:`DomainError`.
     """
+    if not KAPPA_LO < kappa_cap < math.inf:
+        raise DomainError(f"kappa_cap = {kappa_cap!r} must be finite and above {KAPPA_LO!r}")
     f_lo = _value_at_floor(p, KAPPA_LO)
     f_hi = _value_at_floor(p, kappa_cap)
     if not f_lo > 0.0:
@@ -200,7 +204,7 @@ def breakeven_kappa(p: ModelParams, kappa_cap: float = 1e3) -> float:
                 f"floor value rose from {va!r} at kappa={ka!r} to {vb!r} at kappa={kb!r}"
             )
     lo, hi = KAPPA_LO, kappa_cap
-    while hi - lo > 1e-10 * max(1.0, lo):
+    while hi - lo > 1e-10 * lo:
         mid = 0.5 * (lo + hi)
         if _value_at_floor(p, mid) > 0.0:
             lo = mid

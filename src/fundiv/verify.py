@@ -333,14 +333,11 @@ def check_smooth_fit(p: ModelParams, problem: str) -> float | None:
         if p.alpha1 is not None and p.alpha1 > beta0:
             return None
         fn = closed_form_value(beta0, p)
-        level = beta0
     elif problem == "injection":
-        require_kappa(p)
-        level = optimal_barrier_beta2(p)
-        fn = double_barrier_value(level, p.alpha0, p)
+        fn = double_barrier_value(optimal_barrier_beta2(p), p.alpha0, p)
     else:
         raise ValueError(f"unknown problem {problem!r}; use 'solvency' or 'injection'")
-    d11_barrier, d11_mid = fn.partials(np.array([level, 0.5 * (p.alpha0 + level)]), 1.0)[2]
+    d11_barrier, d11_mid = fn.partials(np.array([fn.beta, 0.5 * (p.alpha0 + fn.beta)]), 1.0)[2]
     if d11_mid == 0.0:
         raise DomainError("mid-band curvature vanished; cannot normalise smooth fit")
     return float(d11_barrier / abs(d11_mid))

@@ -241,6 +241,14 @@ def test_closed_form_overflow_exits_3(capsys, p1_config, argv):
     assert "1e+200" in err  # names the barrier whose band weights overflowed
 
 
+@pytest.mark.filterwarnings("error")
+def test_barriers_overflowing_barrier_value_exits_3(capsys, p1_config):
+    # beta1* = alpha1 = 1e300 has finite band weights, but the value on its ray overflows.
+    rc, out, err = run_cli(capsys, "barriers", "--config", p1_config, "--alpha1", "1e300")
+    assert (rc, out) == (3, "")
+    assert err == "error: value inf or its slopes overflow at (1e+300, 1.0)\n"
+
+
 def test_infinite_parameter_exits_1(capsys, p1_config, tmp_path):
     rc, out, err = run_cli(capsys, "barriers", "--config", p1_config, "--alpha1", "inf")
     assert (rc, out) == (1, "")
@@ -356,6 +364,14 @@ def test_simulate_run_flags_are_the_simconfig_fields():
             assert action.type is {"n_paths": int, "seed": int, "n_workers": int}.get(f.name, float)
 
 
+def test_every_subcommand_takes_config_the_model_fields_and_output():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    shared = {"config", *(f.name for f in fields(fundiv.ModelParams)), "output"}
+    assert set(sub.choices) == {"barriers", "value", "simulate", "sweep", "verify"}
+    for name, parser in sub.choices.items():
+        assert shared <= {a.dest for a in parser._actions}, name
+
+
 def test_simulate_config_errors_exit_1(capsys, p1_config):
     rc, _, err = run_cli(
         capsys, "simulate", "--config", p1_config,
@@ -386,6 +402,18 @@ def test_simulate_config_errors_exit_1(capsys, p1_config):
 
 SIM_RUN = ("--x1_0", "2.0", "--x2_0", "1.0", "--dt", "0.25", "--horizon_T", "1.0",
            "--n_paths", "4", "--seed", "4")
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--policy", "double", "--beta", "inf", *SIM_RUN),
+    ("value", "--problem", "injection", "--beta", "inf", "--x1", "2", "--x2", "1"),
+    ("verify", "--problem", "injection", "--barrier-override", "inf"),
+])
+def test_double_barrier_at_infinity_exits_3(capsys, p1_config, argv):
+    # As at beta = 1e300, not a nan z-score, value or report.
+    rc, out, err = run_cli(capsys, argv[0], "--config", p1_config, "--kappa", "1.05", *argv[1:])
+    assert (rc, out) == (3, "")
+    assert err == "error: band weights overflow at beta = inf, gamma = 1.0\n"
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -17,6 +17,7 @@ from fundiv import (
     NumericalError,
     breakeven_kappa,
     check_injection_lemma,
+    closed_form_value,
     double_barrier_value,
     injections,
     kappa_from_barrier,
@@ -249,6 +250,13 @@ def test_breakeven_no_root_below_cap_raises():
         breakeven_kappa(p, kappa_cap=1.2)  # kappa* ~ 1.33 lies above this cap
 
 
+@pytest.mark.parametrize("cap", [math.nan, math.inf, 1.0, injections.KAPPA_LO, 0.5])
+def test_breakeven_kappa_rejects_a_cap_naming_it(cap):
+    msg = f"kappa_cap = {cap!r} must be finite and above {injections.KAPPA_LO!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(msg)}$"):
+        breakeven_kappa(make_params(), kappa_cap=cap)
+
+
 @pytest.mark.parametrize("kappa_of_ratio, msg", [
     (lambda t, p: p.kappa,
      "psi(1.000000000001) = 0.0 is not positive; no root bracket just above alpha0"),
@@ -295,6 +303,21 @@ def test_infinite_barrier_costs_infinity():
     p = kparams()
     assert kappa_from_barrier(math.inf, p.alpha0, p) == math.inf
     assert psi(math.inf, p.alpha0, p) == -math.inf
+
+
+@pytest.mark.parametrize("beta", [math.inf, 1e300])
+def test_double_barrier_weights_that_are_not_finite_raise(beta):
+    # At beta = inf t^(zeta2 - 1) is inf rather than an OverflowError, and the weights are nan.
+    msg = f"band weights overflow at beta = {beta!r}, gamma = 1.0"
+    with pytest.raises(NumericalError, match=f"^{re.escape(msg)}$"):
+        double_barrier_value(beta, 1.0, kparams())
+
+
+def test_ruin_stopped_value_of_an_infinite_barrier_stays_zero():
+    # A barrier that never pays: finite weights and the exact value zero.
+    fn = closed_form_value(math.inf, make_params())
+    assert math.isfinite(fn.A) and math.isfinite(fn.B)
+    assert fn.evaluate(2.0, 1.0) == 0.0
 
 
 @settings(max_examples=200, deadline=None)

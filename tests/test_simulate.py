@@ -19,7 +19,9 @@ from fundiv import (
     SimConfig,
     SolvencyConstrained,
     UnconstrainedBarrier,
+    closed_form_value,
     constrained_barrier_beta1,
+    exponents,
     optimal_barrier_beta0,
     optimal_barrier_beta2,
     paired_compare,
@@ -660,3 +662,54 @@ def test_paired_csv_round_trips():
                 assert cell == ("1" if col[i] else "0")
             else:
                 assert float(cell) == col[i]
+
+
+# ---------------------------------------------------------------------------
+# The engine against its grid-corrected target
+#
+# The engine checks its rays only at grid times.  A ray monitored every dt acts
+# like a continuously monitored one moved outward by e^h, h = c sigma~ sqrt(dt),
+# with c = -zeta(1/2) / sqrt(2 pi) (Broadie, Glasserman & Kou, Math. Finance 7(4),
+# 1997).  So the ruin-stopped target at dt is the closed form with the payout ray
+# at beta e^h and the ruin ray at alpha0 e^-h, good to O(dt).
+
+BGK_C = 0.5825971579390106
+# The exact value of the engine's own grid-monitored beta0* policy on P1 from (2, 1),
+# at dt = 1/12, 1/50 and 1/250: Nystrom quadrature of the one-step operator on a log
+# grid (h = sigma~ sqrt(dt)/20 and /40, Richardson), the reference of ROADMAP item 8.
+DISCRETE_REFERENCE = {1 / 12: 1.18093, 1 / 50: 1.15782, 1 / 250: 1.14487}
+
+
+def grid_corrected_value(p, beta, dt):
+    h = BGK_C * math.sqrt(exponents(p).sigma_tilde_sq * dt)
+    return closed_form_value(beta * math.exp(h), replace(p, alpha0=p.alpha0 * math.exp(-h)))
+
+
+def test_grid_corrected_value_tracks_the_discrete_reference():
+    p = make_params()
+    beta0 = optimal_barrier_beta0(p)
+    continuous = closed_form_value(beta0, p).evaluate(2.0, 1.0)
+    gaps = []
+    for dt, reference in DISCRETE_REFERENCE.items():
+        corrected = grid_corrected_value(p, beta0, dt).evaluate(2.0, 1.0)
+        assert abs(corrected - reference) <= 3e-4, dt
+        gaps.append(corrected - continuous)
+    # 0.04714, 0.02384 and 0.01084: the shift falls as sqrt(dt).
+    assert gaps[0] > gaps[1] > gaps[2] > 0.0
+
+
+def test_engine_matches_the_grid_corrected_target():
+    p = make_params()
+    beta0 = optimal_barrier_beta0(p)
+    policy = UnconstrainedBarrier(beta=beta0)
+    pv = np.concatenate([
+        simulate_paths(SimConfig(x1_0=2.0, x2_0=1.0, dt=1 / 12, horizon_T=120.0, n_paths=5000,
+                                 seed=seed), policy, p).pv_dividends
+        for seed in range(1, 21)
+    ])
+    se = pv.std(ddof=1) / math.sqrt(pv.size)
+    z_corrected = (pv.mean() - grid_corrected_value(p, beta0, 1 / 12).evaluate(2.0, 1.0)) / se
+    z_continuous = (pv.mean() - closed_form_value(beta0, p).evaluate(2.0, 1.0)) / se
+    assert abs(z_corrected) <= 3.0
+    # Negative control: the continuous form misses the grid bias by many standard errors.
+    assert z_continuous >= 5.0

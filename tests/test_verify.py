@@ -239,6 +239,12 @@ def test_lemma_checks_require_their_optional_parameter():
         check_solvency_lemma(make_params())
     with pytest.raises(MissingParameter):
         check_injection_lemma(make_params())
+    # beta2* and the injection smooth fit rely on psi's own check for kappa.
+    msg = "parameter 'kappa' is required for the capital-injection problem"
+    with pytest.raises(MissingParameter, match=f"^{msg}$"):
+        optimal_barrier_beta2(make_params())
+    with pytest.raises(MissingParameter, match=f"^{msg}$"):
+        check_smooth_fit(make_params(), "injection")
 
 
 def test_report_to_text_shape():
