@@ -172,12 +172,10 @@ def cmd_value(args: argparse.Namespace, p: ModelParams) -> int:
 
 
 def _build_policy(args: argparse.Namespace, p: ModelParams, suffix: str = ""):
-    """The policy named by ``--policy<suffix>`` and its closed-form value at the start point."""
+    """The policy named by ``--policy<suffix>`` and its closed-form value function."""
     kind = getattr(args, "policy" + suffix)
     fn = _value_fn(kind, p, getattr(args, "beta" + suffix), args.gamma)
-    # simulate_paths rejects a start ratio that overflows; evaluating it first must not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _POLICIES[kind](fn, p), fn.evaluate(args.x1_0, args.x2_0)
+    return _POLICIES[kind](fn, p), fn
 
 
 def cmd_simulate(args: argparse.Namespace, p: ModelParams) -> int:
@@ -187,23 +185,24 @@ def cmd_simulate(args: argparse.Namespace, p: ModelParams) -> int:
     if args.gamma is not None and "double" not in (args.policy, args.policy_b):
         raise ConfigError("--gamma needs a double policy")
     if args.paired:
-        policy_a, cf_a = _build_policy(args, p)
-        policy_b, cf_b = _build_policy(args, p, suffix="_b")
+        policy_a, fn_a = _build_policy(args, p)
+        policy_b, fn_b = _build_policy(args, p, suffix="_b")
         paired = simulate.paired_compare(cfg, policy_a, policy_b, p)
         record = {"policy_a": policy_a, "policy_b": policy_b,
                   "mean_diff": paired.mean_diff, "se_diff": paired.se_diff}
-        for tag, res, cf in (("a", paired.result_a, cf_a), ("b", paired.result_b, cf_b)):
+        for tag, res, fn in (("a", paired.result_a, fn_a), ("b", paired.result_b, fn_b)):
             s = res.summary
             record[f"mean_pv_dividends_{tag}"] = s.mean_pv_dividends
             record[f"cv_pv_dividends_{tag}"] = s.cv_pv_dividends
             record[f"mean_ruin_time_censored_{tag}"] = s.mean_ruin_time_censored
-            record[f"closed_form_value_{tag}"] = cf
+            record[f"closed_form_value_{tag}"] = _checked_read(fn, cfg.x1_0, cfg.x2_0)[0]
         with _open_output(args.output, p) as fh:
             simulate.write_paired_csv(paired, fh)
             fh.write("\n" + _flat_text(record))
         return 0
-    policy, cf_value = _build_policy(args, p)
+    policy, fn = _build_policy(args, p)
     result = simulate.simulate_paths(cfg, policy, p)
+    cf_value = _checked_read(fn, cfg.x1_0, cfg.x2_0)[0]
     s = result.summary  # without injections the net fields equal the dividend ones bit for bit
     z = (s.mean_net_value - cf_value) / s.se_net_value if s.se_net_value > 0.0 else float("nan")
     record = {"policy": policy, **asdict(s), "closed_form_value": cf_value,
@@ -249,7 +248,8 @@ def cmd_sweep(args: argparse.Namespace, p: ModelParams) -> int:
         betas = np.linspace(args.beta_min, args.beta_max, args.beta_steps)
         for gamma, beta in itertools.product(gammas, betas):
             if beta > gamma >= p.alpha0:
-                value = injections.value_injections(args.ratio, 1.0, float(beta), float(gamma), p)
+                fn = injections.double_barrier_value(float(beta), float(gamma), p)
+                value = _checked_read(fn, args.ratio, 1.0)[0]
                 rows.append(f"{_fmt(gamma)},{_fmt(beta)},{_fmt(value)}")
             else:
                 rows.append(f"{_fmt(gamma)},{_fmt(beta)},")  # infeasible cell

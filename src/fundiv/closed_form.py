@@ -102,8 +102,9 @@ class ClosedFormValue:
     ruin ray; ratios below alpha0 are rejected, so it never uses ``kappa``.
 
     ``evaluate`` and ``partials`` take scalars or broadcastable arrays and
-    pick the branch per entry.  The powers are taken at the ratio clipped to
-    the band, so a branch an entry does not use neither overflows nor warns.
+    pick the branch per entry; a NaN ratio is rejected as one below alpha0.
+    The powers are taken at the ratio clipped to the band, so a branch an
+    entry does not use neither overflows nor warns.
     """
 
     beta: float
@@ -120,11 +121,12 @@ class ClosedFormValue:
         x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
         if not (x2 > 0.0).all():
             raise DomainError(f"x2 = {float(x2[~(x2 > 0.0)][0])!r} must be positive")
-        r = x1 / x2
-        if (r < self.alpha0).any():
+        with np.errstate(invalid="ignore"):  # inf / inf is a NaN ratio, rejected below
+            r = x1 / x2
+        if not (r >= self.alpha0).all():
             raise DomainError(
-                f"x1/x2 = {float(np.asarray(r)[r < self.alpha0][0])!r} lies below the ruin level "
-                f"alpha0 = {self.alpha0!r}"
+                f"x1/x2 = {float(np.asarray(r)[~(r >= self.alpha0)][0])!r} lies below the ruin "
+                f"level alpha0 = {self.alpha0!r}"
             )
         slope = np.where(r > self.beta, 1.0, 0.0)
         if self.gamma > self.alpha0:  # only then can a ratio lie below the injection ray

@@ -146,7 +146,9 @@ def _clear_of_kink(r: np.ndarray, level: float, edge: float) -> np.ndarray:
 def _one_sided(fn, r: float, toward: float) -> tuple[float, float]:
     """Second-order one-sided d/dx1 and d2/dx1^2 at (r, 1) from r, r - h and r - 2h,
     stepping toward ``toward`` by FD_REL_STEP r capped at half the gap (none: NaN)."""
-    h = math.copysign(min(FD_REL_STEP * r, abs(r - toward) / 2), r - toward) or math.nan
+    h = math.copysign(min(FD_REL_STEP * r, abs(r - toward) / 2), r - toward)
+    if h == 0.0:
+        return math.nan, math.nan
     f0, f1, f2 = fn.evaluate(r - np.array([0.0, 1.0, 2.0]) * h, 1.0)
     d1 = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
     d11 = (f0 - 2.0 * f1 + f2) / (h * h)
@@ -167,6 +169,8 @@ def _grid_pass(fn, p: ModelParams, level: float, mode: str):
     r_eff where the partials were taken (r, or off the kink at ``level`` in fd
     mode), the partials at r_eff (one row each) and (A - delta)H / scale at r_eff.
     """
+    if not math.isfinite(3.0 * level):
+        raise DomainError(f"the lemma grid [alpha0, 3 barrier] overflows at barrier = {level!r}")
     r = np.geomspace(p.alpha0, 3.0 * level, N_GRID)
     value = fn.evaluate(r, 1.0)
     if mode == "analytic":

@@ -267,7 +267,7 @@ def test_infinite_parameter_exits_1(capsys, p1_config, tmp_path):
 
 @pytest.mark.filterwarnings("error")
 def test_simulate_start_ratio_overflow_exits_1(capsys, p1_config):
-    # The closed form at the start is evaluated first; its overflow must not warn.
+    # The engine rejects the start before any closed form is read there; nothing may warn.
     rc, out, err = run_cli(
         capsys, "simulate", "--config", p1_config, "--policy", "unconstrained",
         "--x1_0", "1e300", "--x2_0", "1e-300", "--dt", "0.25", "--horizon_T", "1.0",
@@ -278,14 +278,33 @@ def test_simulate_start_ratio_overflow_exits_1(capsys, p1_config):
 
 
 @pytest.mark.filterwarnings("error")
-def test_simulate_start_ratio_of_minus_inf_exits_2(capsys, p1_config):
+def test_simulate_start_ratio_of_minus_inf_exits_1(capsys, p1_config):
     rc, out, err = run_cli(
         capsys, "simulate", "--config", p1_config, "--policy", "unconstrained",
         "--x1_0=-1e300", "--x2_0", "1e-300", "--dt", "0.25", "--horizon_T", "1.0",
         "--n_paths", "6", "--seed", "4",
     )
-    assert (rc, out) == (2, "")
-    assert err == "error: x1/x2 = -inf lies below the ruin level alpha0 = 1.0\n"
+    assert (rc, out) == (1, "")
+    assert err == "error: start ratio -inf lies below alpha0 = 1.0\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("paired", [(), ("--paired", "--policy_b", "unconstrained")],
+                         ids=["single", "paired"])
+@pytest.mark.parametrize("x1_0, x2_0", [(0.5, 1.0), (2.0, 0.0), (2.0, -1.0), (-1e300, 1e-300)])
+def test_simulate_bad_start_exits_1_with_the_engine_message(capsys, p1_config, x1_0, x2_0,
+                                                            paired):
+    # The engine checks the start; no closed form is read at a start it rejects.
+    cfg = SimConfig(x1_0=x1_0, x2_0=x2_0, dt=0.25, horizon_T=1.0, n_paths=6, seed=4)
+    with pytest.raises(ConfigError) as engine:
+        simulate_paths(cfg, UnconstrainedBarrier(beta=P1_BETA0), make_params())
+    rc, out, err = run_cli(
+        capsys, "simulate", "--config", p1_config, "--policy", "unconstrained", *paired,
+        f"--x1_0={x1_0!r}", f"--x2_0={x2_0!r}", "--dt", "0.25", "--horizon_T", "1.0",
+        "--n_paths", "6", "--seed", "4",
+    )
+    assert (rc, out) == (1, "")
+    assert err == f"error: {engine.value}\n"
 
 
 def test_value_injection_needs_kappa(capsys, p1_config):
@@ -518,6 +537,33 @@ def test_sweep_value_surface_marks_infeasible_cells(capsys, p1_config):
         assert math.isfinite(value)  # may be negative: injections are forced
 
 
+@pytest.mark.parametrize("argv", [
+    ("barriers", "--alpha1", "1.2"),
+    ("value", "--problem", "injection", "--x1", "2", "--x2", "1"),
+    ("simulate", "--policy", "unconstrained", *SIM_RUN),
+    ("simulate", "--policy", "unconstrained", "--paired", "--policy_b", "double", *SIM_RUN),
+    ("sweep", "--kind", "value-surface", "--gamma_steps", "3", "--beta_steps", "4"),
+], ids=["barriers", "value", "simulate", "simulate-paired", "value-surface"])
+def test_printed_closed_forms_come_from_the_checked_read(capsys, p1_config, monkeypatch, argv):
+    checked, reads = cli._checked_read, []
+
+    def spy(fn, x1, x2):
+        read = checked(fn, x1, x2)
+        reads.extend(read)
+        return read
+
+    monkeypatch.setattr(cli, "_checked_read", spy)
+    rc, out, _ = run_cli(capsys, argv[0], "--config", p1_config, "--kappa", "1.05", *argv[1:])
+    assert rc == 0
+    if argv[0] == "sweep":
+        rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+        printed = [float(row[2]) for row in rows[1:] if row[2]]
+    else:
+        printed = [float(v) for k, v in kv(out).items()
+                   if k.startswith(("value", "dvalue", "closed_form_value"))]
+    assert printed and all(v in reads for v in printed)
+
+
 def test_sweep_breakeven_direction(capsys, p1_config):
     rc, out, _ = run_cli(
         capsys, "sweep", "--config", p1_config, "--kind", "breakeven",
@@ -619,6 +665,18 @@ def test_verify_overflowing_barrier_exits_2_with_a_report(capsys, p1_config):
     assert rc == 2
     assert "passed = false" in out
     assert err == ""
+
+
+@pytest.mark.parametrize("barrier", ["inf", "1e308"])
+def test_verify_lemma_grid_past_float_range_exits_2_naming_the_barrier(capsys, p1_config,
+                                                                        barrier):
+    rc, out, err = run_cli(
+        capsys, "verify", "--config", p1_config, "--alpha1", "1.2",
+        "--problem", "solvency", "--barrier-override", barrier,
+    )
+    assert (rc, out) == (2, "")
+    assert err == ("error: the lemma grid [alpha0, 3 barrier] overflows at barrier = "
+                   f"{float(barrier)!r}\n")
 
 
 def test_verify_both_problems_pass(capsys, p1_config):

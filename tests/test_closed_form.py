@@ -197,6 +197,19 @@ def test_array_with_an_entry_below_alpha0_rejected():
         cf.evaluate(2.0, np.array([1.0, -1.0]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x1, x2", [(math.nan, 1.0), (math.inf, math.inf)])
+def test_nan_ratio_rejected(x1, x2):
+    cf = closed_form_value(P1_BETA0, make_params())
+    for method in (cf.evaluate, cf.partials):
+        with pytest.raises(DomainError, match="^x1/x2 = nan "):
+            method(x1, x2)
+        with pytest.raises(DomainError, match="^x1/x2 = nan "):
+            method(np.array([2.0, x1, 0.5]), np.array([1.0, x2, 1.0]))
+        with pytest.raises(DomainError, match="^x1/x2 = 0.5 "):
+            method(np.array([2.0, 0.5, x1]), np.array([1.0, 1.0, x2]))
+
+
 def test_both_problems_share_one_value_class():
     assert type(value_case("ruin-stopped")) is type(value_case("injection"))
 

@@ -678,11 +678,33 @@ BGK_C = 0.5825971579390106
 # at dt = 1/12, 1/50 and 1/250: Nystrom quadrature of the one-step operator on a log
 # grid (h = sigma~ sqrt(dt)/20 and /40, Richardson), the reference of ROADMAP item 8.
 DISCRETE_REFERENCE = {1 / 12: 1.18093, 1 / 50: 1.15782, 1 / 250: 1.14487}
+# The same reference for the ruin transform E[e^(-delta tau)] (0 on a path never ruined),
+# at dt = 1/12 and 1/50.
+DISCRETE_RUIN_TRANSFORM = {1 / 12: 0.55752, 1 / 50: 0.57686}
+
+
+def bgk_shift(p, dt):
+    return BGK_C * math.sqrt(exponents(p).sigma_tilde_sq * dt)
 
 
 def grid_corrected_value(p, beta, dt):
-    h = BGK_C * math.sqrt(exponents(p).sigma_tilde_sq * dt)
+    h = bgk_shift(p, dt)
     return closed_form_value(beta * math.exp(h), replace(p, alpha0=p.alpha0 * math.exp(-h)))
+
+
+def ruin_transform(p, beta, r, h=0.0):
+    """E[e^(-delta tau)] from ratio r under the barrier-beta policy, with both rays moved
+    outward by e^h: phi = a u^theta1 + b u^theta2, u = r / alpha0, phi(alpha0) = 1 and
+    phi'(beta) = 0, where the thetas solve the degree-0 quadratic
+    (sigma~^2/2) theta^2 + (mu_A - mu_L - sigma_A^2/2 + sigma_L^2/2) theta - delta = 0."""
+    half_var = 0.5 * exponents(p).sigma_tilde_sq
+    lin = p.mu_A - p.mu_L - 0.5 * p.sigma_A**2 + 0.5 * p.sigma_L**2
+    root = math.sqrt(lin * lin + 4.0 * half_var * p.delta)
+    theta1, theta2 = (-lin - root) / (2.0 * half_var), (-lin + root) / (2.0 * half_var)
+    alpha0 = p.alpha0 * math.exp(-h)
+    w, u = beta * math.exp(h) / alpha0, r / alpha0
+    s1, s2 = theta1 * w**theta1, theta2 * w**theta2
+    return (s2 * u**theta1 - s1 * u**theta2) / (s2 - s1)
 
 
 def test_grid_corrected_value_tracks_the_discrete_reference():
@@ -698,18 +720,55 @@ def test_grid_corrected_value_tracks_the_discrete_reference():
     assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
 
-def test_engine_matches_the_grid_corrected_target():
+def test_grid_corrected_ruin_transform_tracks_the_discrete_reference():
     p = make_params()
     beta0 = optimal_barrier_beta0(p)
-    policy = UnconstrainedBarrier(beta=beta0)
-    pv = np.concatenate([
+    continuous = ruin_transform(p, beta0, 2.0)
+    assert continuous == pytest.approx(0.59567, abs=5e-6)
+    gaps = []
+    for dt in (1 / 12, 1 / 50, 1 / 250):
+        corrected = ruin_transform(p, beta0, 2.0, bgk_shift(p, dt))
+        if dt in DISCRETE_RUIN_TRANSFORM:
+            assert abs(corrected - DISCRETE_RUIN_TRANSFORM[dt]) <= 1e-3, dt
+        gaps.append(continuous - corrected)
+    # 0.03746, 0.01863 and 0.00840: ruin is checked only at grid times, so it comes later.
+    assert gaps[0] > gaps[1] > gaps[2] > 0.0
+
+
+@pytest.fixture(scope="module")
+def pooled_beta0_runs():
+    """P1 under beta0* from (2, 1), dt = 1/12, T = 120: seeds 1-20 x 5,000 paths, pooled."""
+    p = make_params()
+    beta0 = optimal_barrier_beta0(p)
+    runs = [
         simulate_paths(SimConfig(x1_0=2.0, x2_0=1.0, dt=1 / 12, horizon_T=120.0, n_paths=5000,
-                                 seed=seed), policy, p).pv_dividends
+                                 seed=seed), UnconstrainedBarrier(beta=beta0), p)
         for seed in range(1, 21)
+    ]
+    pv = np.concatenate([run.pv_dividends for run in runs])
+    transform = np.concatenate([
+        np.where(run.censored, 0.0, np.exp(-p.delta * run.ruin_time)) for run in runs
     ])
-    se = pv.std(ddof=1) / math.sqrt(pv.size)
-    z_corrected = (pv.mean() - grid_corrected_value(p, beta0, 1 / 12).evaluate(2.0, 1.0)) / se
-    z_continuous = (pv.mean() - closed_form_value(beta0, p).evaluate(2.0, 1.0)) / se
+    return p, beta0, pv, transform
+
+
+def z_score(sample, target):
+    return (sample.mean() - target) / (sample.std(ddof=1) / math.sqrt(sample.size))
+
+
+def test_engine_matches_the_grid_corrected_target(pooled_beta0_runs):
+    p, beta0, pv, _ = pooled_beta0_runs
+    z_corrected = z_score(pv, grid_corrected_value(p, beta0, 1 / 12).evaluate(2.0, 1.0))
+    z_continuous = z_score(pv, closed_form_value(beta0, p).evaluate(2.0, 1.0))
     assert abs(z_corrected) <= 3.0
     # Negative control: the continuous form misses the grid bias by many standard errors.
     assert z_continuous >= 5.0
+
+
+def test_engine_ruin_transform_matches_the_grid_corrected_target(pooled_beta0_runs):
+    p, beta0, _, transform = pooled_beta0_runs
+    z_corrected = z_score(transform, ruin_transform(p, beta0, 2.0, bgk_shift(p, 1 / 12)))
+    z_continuous = z_score(transform, ruin_transform(p, beta0, 2.0))
+    assert abs(z_corrected) <= 3.0
+    # Negative control: continuously monitored ruin comes earlier than the engine's.
+    assert z_continuous <= -5.0

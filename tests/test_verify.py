@@ -2,6 +2,7 @@
 perturbed barriers fail loudly, and the generator helpers behave."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from fundiv import (
     DomainError,
     MissingParameter,
+    NumericalError,
     check_injection_lemma,
     check_smooth_fit,
     check_solvency_lemma,
@@ -287,6 +289,22 @@ def test_a_condition_without_grid_points_passes_at_zero():
     band = condition(report, "generator-zero-band")
     assert band.worst_violation == 0.0 and band.passed
     assert math.isnan(band.location)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["analytic", "finite-difference"])
+def test_lemma_grid_that_overflows_names_the_barrier(mode):
+    # 3 barrier is the grid's top end; past float range the grid would read [alpha0, inf].
+    for barrier in (math.inf, 1e308):
+        with pytest.raises(DomainError, match=re.escape(f"overflows at barrier = {barrier!r}")):
+            check_solvency_lemma(solvency_params(), barrier=barrier, mode=mode)
+    # Where z2 - z1 is just above 1, the band weights stay finite at barrier 1e308.
+    flat = make_params(mu_A=0.02001, mu_L=0.02, delta=0.02002, kappa=1.05)
+    with pytest.raises(DomainError, match=re.escape("overflows at barrier = 1e+308")):
+        check_injection_lemma(flat, barrier=1e308, mode=mode)
+    # At inf the band weights fail first.
+    with pytest.raises(NumericalError, match="^band weights overflow at beta = inf"):
+        check_injection_lemma(injection_params(), barrier=math.inf, mode=mode)
 
 
 def test_non_finite_generator_residuals_fail_the_lemma():
