@@ -121,7 +121,8 @@ class ClosedFormValue:
         x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
         if not (x2 > 0.0).all():
             raise DomainError(f"x2 = {float(x2[~(x2 > 0.0)][0])!r} must be positive")
-        with np.errstate(invalid="ignore"):  # inf / inf is a NaN ratio, rejected below
+        # A ratio past float range is inf, above beta; inf / inf is NaN, rejected below.
+        with np.errstate(over="ignore", invalid="ignore"):
             r = x1 / x2
         if not (r >= self.alpha0).all():
             raise DomainError(

@@ -26,7 +26,9 @@ kappa(t) is positive at beta = gamma, strictly decreasing, and has a unique
 root beta2*.  It is the four-power score of beta and gamma divided by the
 positive factor zeta1 (zeta1 - zeta2) gamma^(1+zeta1-zeta2) t^zeta1.  The same
 kappa(t) gives the injection cost that makes a given barrier pair optimal,
-which is used both for round-trip testing and for break-even analysis.
+which is used both for round-trip testing and for break-even analysis.  The
+break-even cost kappa* reads each floor value on the injection ray as
+x2 (A + B), with no scalar numpy read inside its search.
 """
 
 from __future__ import annotations
@@ -165,10 +167,13 @@ def kappa_from_barrier(beta: float, gamma: float, p: ModelParams) -> float:
 
 
 def _value_at_floor(p: ModelParams, kappa: float) -> float:
-    """Net value started on the injection ray, under the optimal barrier for ``kappa``."""
+    """Net value started on the injection ray, under the optimal barrier for ``kappa``.
+
+    On that ray u = 1 and V = x2 (A + B), so V(alpha0, 1) is read from the weights.
+    """
     pk = replace(p, kappa=kappa)
-    beta2 = optimal_barrier_beta2(pk)
-    return value_injections(p.alpha0, 1.0, beta2, p.alpha0, pk)
+    fn = double_barrier_value(optimal_barrier_beta2(pk), p.alpha0, pk)
+    return fn.A + fn.B
 
 
 def breakeven_kappa(p: ModelParams, kappa_cap: float = 1e3) -> float:

@@ -210,6 +210,14 @@ def test_nan_ratio_rejected(x1, x2):
             method(np.array([2.0, 0.5, x1]), np.array([1.0, 1.0, x2]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_ratio_past_float_range_is_quiet():
+    # x1/x2 overflows to inf: above the barrier, so the value is x1 and the slopes are linear.
+    cf = closed_form_value(P1_BETA0, make_params())
+    assert cf.evaluate(1e300, 1e-300) == 1e300
+    assert repr(cf.partials(1e300, 1e-300)) == "(1.0, -0.8515058703455378, 0.0, 0.0, -0.0)"
+
+
 def test_both_problems_share_one_value_class():
     assert type(value_case("ruin-stopped")) is type(value_case("injection"))
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fundiv import (
+    ClosedFormValue,
     DomainError,
     NoBreakeven,
     NumericalError,
@@ -236,6 +237,24 @@ def test_breakeven_kappa_frozen_and_sign_change():
     assert _value_at_floor(p, 0.95 * ks) > 0.0
     assert _value_at_floor(p, 1.05 * ks) < 0.0
     assert abs(_value_at_floor(p, ks)) < 1e-8
+
+
+def test_floor_value_is_bit_identical_to_the_value_on_the_injection_ray():
+    rng = np.random.default_rng(2024)
+    kappas = [injections.KAPPA_LO, 1.01, 1.3, 2.0, 10.0]
+    for p in [make_params()] + [random_params(rng, with_kappa=True) for _ in range(30)]:
+        for kappa in kappas:
+            pk = replace(p, kappa=kappa)
+            on_ray = value_injections(p.alpha0, 1.0, optimal_barrier_beta2(pk), p.alpha0, pk)
+            assert _value_at_floor(p, kappa).hex() == on_ray.hex()
+
+
+def test_breakeven_kappa_reads_no_scalar_evaluate(monkeypatch):
+    def refuse(self, x1, x2):
+        raise AssertionError("the kappa* search evaluated a value function")
+
+    monkeypatch.setattr(ClosedFormValue, "evaluate", refuse)
+    assert breakeven_kappa(make_params()) == P1_KAPPA_STAR
 
 
 def test_breakeven_kappa_rises_when_asset_risk_falls():
