@@ -519,6 +519,22 @@ def test_sweep_beta2_vs_kappa(capsys, p1_config):
     assert barriers[0] < barriers[-1]
 
 
+@pytest.mark.parametrize("argv, msg", [
+    (("sweep", "--alpha0", "1e307", "--kind", "beta2-vs-kappa",
+      "--kappa_min", "1.01", "--kappa_max", "5", "--steps", "3"),
+     "the root bracket [8.5000000000005e+307, 1.6e+308] has no finite midpoint"),
+    (("barriers", "--alpha0", "1e308", "--kappa", "1.05"),
+     "psi is still positive at beta = 1e+308, whose double overflows"),
+    (("sweep", "--alpha0", "1e307", "--kind", "breakeven", "--steps", "2"),
+     "psi is still positive at beta = 1.6e+308, whose double overflows"),
+], ids=["beta2-vs-kappa", "barriers", "breakeven"])
+def test_beta2_beyond_float_range_exits_3(capsys, p1_config, argv, msg):
+    # beta2-vs-kappa printed the row 5,inf and exited 0 before the bracket was checked.
+    rc, out, err = run_cli(capsys, argv[0], "--config", p1_config, *argv[1:])
+    assert (rc, out) == (3, "")
+    assert err == f"error: {msg}\n"
+
+
 def test_sweep_value_surface_marks_infeasible_cells(capsys, p1_config):
     rc, out, _ = run_cli(
         capsys, "sweep", "--config", p1_config, "--kappa", "1.05",

@@ -195,21 +195,43 @@ def test_kappa_round_trip():
         assert kappa_from_barrier(b2, p.alpha0, p) == pytest.approx(p.kappa, rel=1e-9)
 
 
-def test_beta2_returns_where_float_spacing_exceeds_tolerance():
-    p = make_params(base=WIDE_SPACING)
+def returns_in_time(fn, *args):
+    """fn(*args), failing with TimeoutError if it has not returned within 5 s."""
 
     def hang(*_):
-        raise TimeoutError("optimal_barrier_beta2 did not return")
+        raise TimeoutError(f"{fn.__name__} did not return")
 
     previous = signal.signal(signal.SIGALRM, hang)
     signal.setitimer(signal.ITIMER_REAL, 5.0)
     try:
-        b2 = optimal_barrier_beta2(p)
+        return fn(*args)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_beta2_returns_where_float_spacing_exceeds_tolerance():
+    p = make_params(base=WIDE_SPACING)
+    b2 = returns_in_time(optimal_barrier_beta2, p)
     assert math.ulp(b2) > 1e-12 * p.alpha0
     assert kappa_from_barrier(b2, p.alpha0, p) == pytest.approx(p.kappa, rel=1e-9)
+
+
+@pytest.mark.parametrize("overrides, msg", [
+    # beta2* = 1.81 alpha0 at kappa = 1.05: the first doubled bracket end overflows.
+    (dict(alpha0=1e308, kappa=1.05),
+     "psi is still positive at beta = 1e+308, whose double overflows"),
+    # beta2* ~ 1.16e308 at kappa = 5 lies below the bracket end 1.6e308, but lo + hi overflows.
+    (dict(alpha0=1e307, kappa=5.0),
+     "the root bracket [8.5000000000005e+307, 1.6e+308] has no finite midpoint"),
+    # beta2* ~ 1.3e308, where the float spacing exceeds the 1e-12 alpha0 tolerance.
+    (dict(base=WIDE_SPACING, alpha0=3.8e303),
+     "psi is still positive at beta = 1.245184e+308, whose double overflows"),
+], ids=["bracket-end", "midpoint", "wide-spacing"])
+def test_beta2_beyond_float_range_raises(overrides, msg):
+    with pytest.raises(NumericalError, match=f"^{re.escape(msg)}$") as details:
+        returns_in_time(optimal_barrier_beta2, make_params(**overrides))
+    assert type(details.value) is NumericalError
 
 
 def test_beta2_increasing_in_kappa():
@@ -255,6 +277,83 @@ def test_breakeven_kappa_reads_no_scalar_evaluate(monkeypatch):
 
     monkeypatch.setattr(ClosedFormValue, "evaluate", refuse)
     assert breakeven_kappa(make_params()) == P1_KAPPA_STAR
+
+
+def reference_breakeven(value, p, kappa_cap=1e3):
+    """kappa* by bisection over the whole [KAPPA_LO, kappa_cap], solving every
+    midpoint; returns kappa* and the midpoints in the order solved."""
+    lo, hi = injections.KAPPA_LO, kappa_cap
+    mids = []
+    while hi - lo > 1e-10 * lo:
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        if value(p, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), mids
+
+
+def record_floor_solves(monkeypatch, value):
+    """Route breakeven_kappa's floor values through ``value``, recording (kappa, value)."""
+    solves = []
+
+    def recorded(p, kappa):
+        solves.append((kappa, value(p, kappa)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(injections, "_value_at_floor", recorded)
+    return solves
+
+
+def sample_bounds(sample):
+    """(a, b): the largest sample kappa at and below which every value is
+    positive, and the smallest at and above which none is."""
+    a = max(k for k, _ in sample if all(v > 0.0 for k2, v in sample if k2 <= k))
+    b = min(k for k, _ in sample if not any(v > 0.0 for k2, v in sample if k2 >= k))
+    return a, b
+
+
+def test_breakeven_kappa_is_bit_identical_to_the_full_bisection():
+    rng = np.random.default_rng(2025)
+    for p in [make_params()] + [random_params(rng, with_kappa=True) for _ in range(30)]:
+        for cap in (1e3, 10.0):
+            reference, _ = reference_breakeven(_value_at_floor, p, cap)
+            assert breakeven_kappa(p, kappa_cap=cap).hex() == reference.hex()
+
+
+def test_breakeven_kappa_solves_only_between_the_sample_bounds(monkeypatch):
+    # A deterministic work count: it repeats exactly, unlike a timing.
+    p = make_params()
+    _, mids = reference_breakeven(_value_at_floor, p)
+    solves = record_floor_solves(monkeypatch, _value_at_floor)
+    assert breakeven_kappa(p) == P1_KAPPA_STAR
+    lo_off, hi_off = math.log(injections.KAPPA_LO - 1.0), math.log(1e3 - 1.0)
+    inner = [1.0 + math.exp(lo_off + (hi_off - lo_off) * i / 7.0) for i in range(1, 7)]
+    assert [k for k, _ in solves[:8]] == [injections.KAPPA_LO, 1e3, *inner]
+    a, b = sample_bounds(sorted(solves[:8]))
+    assert [k for k, _ in solves[8:]] == [m for m in mids if a < m < b]
+    assert (len(solves), 8 + len(mids)) == (41, 51)
+
+
+def test_breakeven_kappa_solves_every_midpoint_where_the_sample_wobbles(monkeypatch):
+    # Within the 1e-12 slack the sample reads a tiny negative value at 1.0193 and
+    # a tiny positive one at 1.7192; the full bisection ends at the sign change at 1.01.
+    def wobbly(p, kappa):
+        if kappa < 1.01 or 1.6 <= kappa < 1.75:
+            return 1e-13
+        return -1e-13 if kappa < 1.6 else -(kappa - 1.75) - 1e-13
+
+    p = make_params()
+    reference, mids = reference_breakeven(wobbly, p)
+    solves = record_floor_solves(monkeypatch, wobbly)
+    assert breakeven_kappa(p).hex() == reference.hex()
+    assert reference == pytest.approx(1.01, rel=1e-9)
+    sample = sorted(solves[:8])
+    assert [v > 0.0 for _, v in sample] == [True] * 4 + [False, True, False, False]
+    a, b = sample_bounds(sample)
+    assert (a, b) == (sample[3][0], sample[6][0])
+    assert [k for k, _ in solves[8:]] == [m for m in mids if a < m < b]
 
 
 def test_breakeven_kappa_rises_when_asset_risk_falls():
