@@ -104,7 +104,7 @@ def _stencil_span(r):
 
 
 def _fd_partials(fn, r):
-    """Central-difference partials at (r, 1) from one evaluation of the stencil."""
+    """Value and central-difference partials at (r, 1) from one evaluation of the stencil."""
     h1, h2 = FD_REL_STEP * r, FD_REL_STEP
     u, v = _STENCIL.reshape(2, 9, *(1,) * np.ndim(r))
     f0, fp, fm, gp, gm, fpp, fpm, fmp, fmm = fn.evaluate(r + u * h1, 1.0 + v * h2)
@@ -113,8 +113,7 @@ def _fd_partials(fn, r):
     d11 = (fp - 2.0 * f0 + fm) / (h1 * h1)
     d22 = (gp - 2.0 * f0 + gm) / (h2 * h2)
     d12 = (fpp - fpm - fmp + fmm) / (4.0 * h1 * h2)
-    parts = d1, d2, d11, d22, d12
-    return parts if np.ndim(r) else tuple(map(float, parts))
+    return f0, (d1, d2, d11, d22, d12)
 
 
 def _generator_terms(partials, r, p: ModelParams):
@@ -174,13 +173,13 @@ def _grid_pass(fn, p: ModelParams, level: float, mode: str):
     r = np.geomspace(p.alpha0, 3.0 * level, N_GRID)
     value = fn.evaluate(r, 1.0)
     if mode == "analytic":
-        r_eff, parts = r, fn.partials(r, 1.0)
+        r_eff, value_eff, parts = r, value, fn.partials(r, 1.0)
     else:
         # Keep the whole stencil inside the domain (ratios >= alpha0) and off the kink.
         edge = p.alpha0 * (1.0 + 10.0 * FD_REL_STEP)
         r_eff = _clear_of_kink(np.maximum(r, edge), level, edge)
-        parts = _fd_partials(fn, r_eff)
-    terms = (*_generator_terms(parts, r_eff, p), -p.delta * fn.evaluate(r_eff, 1.0))
+        value_eff, parts = _fd_partials(fn, r_eff)
+    terms = (*_generator_terms(parts, r_eff, p), -p.delta * value_eff)
     gen = sum(terms) / np.maximum(sum(np.abs(t) for t in terms), 1e-300)
     return r, value, r_eff, np.column_stack(parts), gen
 
@@ -247,7 +246,7 @@ def _report(problem: str, level: float, mode: str, p: ModelParams, table) -> Ver
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the report shows where values stop being finite
+@np.errstate(all="ignore")  # the report shows where values stop being finite
 def check_solvency_lemma(
     p: ModelParams, *, barrier: float | None = None, mode: str = "analytic"
 ) -> VerificationReport:
@@ -283,7 +282,7 @@ def check_solvency_lemma(
     ])
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(all="ignore")
 def check_injection_lemma(
     p: ModelParams, *, barrier: float | None = None, mode: str = "analytic"
 ) -> VerificationReport:

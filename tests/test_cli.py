@@ -525,14 +525,25 @@ def test_sweep_beta2_vs_kappa(capsys, p1_config):
      "the root bracket [8.5000000000005e+307, 1.6e+308] has no finite midpoint"),
     (("barriers", "--alpha0", "1e308", "--kappa", "1.05"),
      "psi is still positive at beta = 1e+308, whose double overflows"),
-    (("sweep", "--alpha0", "1e307", "--kind", "breakeven", "--steps", "2"),
-     "psi is still positive at beta = 1.6e+308, whose double overflows"),
-], ids=["beta2-vs-kappa", "barriers", "breakeven"])
+], ids=["beta2-vs-kappa", "barriers"])
 def test_beta2_beyond_float_range_exits_3(capsys, p1_config, argv, msg):
     # beta2-vs-kappa printed the row 5,inf and exited 0 before the bracket was checked.
     rc, out, err = run_cli(capsys, argv[0], "--config", p1_config, *argv[1:])
     assert (rc, out) == (3, "")
     assert err == f"error: {msg}\n"
+
+
+def test_sweep_breakeven_at_a_huge_alpha0_prints_the_kappa_star_of_alpha0_1(capsys, p1_config):
+    # kappa* depends on beta2*/alpha0 alone; a search at alpha0 = 1e307 itself overflows.
+    columns = []
+    for alpha0 in ("1", "1e307"):
+        rc, out, err = run_cli(
+            capsys, "sweep", "--config", p1_config, "--alpha0", alpha0,
+            "--kind", "breakeven", "--steps", "2",
+        )
+        assert (rc, err) == (0, "")
+        columns.append([row[1] for row in _breakeven_rows(out)])
+    assert columns[0] == columns[1] and all(columns[0])
 
 
 def test_sweep_value_surface_marks_infeasible_cells(capsys, p1_config):

@@ -22,6 +22,7 @@ from fundiv import (
     double_barrier_value,
     injections,
     kappa_from_barrier,
+    optimal_barrier_beta0,
     optimal_barrier_beta2,
     psi,
     value_injections,
@@ -234,6 +235,13 @@ def test_beta2_beyond_float_range_raises(overrides, msg):
     assert type(details.value) is NumericalError
 
 
+def test_beta2_at_a_huge_kappa_returns():
+    # beta2* ~ 9.0e58 alpha0 > 2**60 alpha0: the bracket doubles until psi turns.
+    p = make_params(kappa=1e100)
+    b2 = optimal_barrier_beta2(p)
+    assert kappa_from_barrier(b2, p.alpha0, p) == pytest.approx(1e100, rel=1e-9)
+
+
 def test_beta2_increasing_in_kappa():
     p = kparams()
     kappas = np.linspace(1.01, 3.0, 25)
@@ -244,8 +252,6 @@ def test_beta2_increasing_in_kappa():
 def test_injection_value_exceeds_payout_only_value_inside_band():
     # For moderate costs the option to inject is worth something.
     p = kparams()
-    from fundiv import optimal_barrier_beta0
-
     b0 = optimal_barrier_beta0(p)
     for r in (1.05, 1.3, 1.6):
         assert value_injections(r, 1.0, P1_BETA2, 1.0, p) > value_unconstrained(r, 1.0, b0, p)
@@ -362,6 +368,45 @@ def test_breakeven_kappa_rises_when_asset_risk_falls():
     assert breakeven_kappa(lower_risk) > breakeven_kappa(make_params())
 
 
+@pytest.mark.parametrize("overrides", [
+    *(dict(alpha0=a) for a in (5e-324, 1e-300, 1e-5, 1.0, 1e300, 1e305, 1e307)),
+    dict(alpha0=1e-5, alpha1=2e-5),
+], ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items()))
+def test_breakeven_kappa_does_not_depend_on_alpha0(overrides):
+    # kappa* is a function of the ratio beta2*/alpha0; a search at the caller's alpha0
+    # overflows at 1e305 and rounds differently at the subnormal 5e-324.
+    assert breakeven_kappa(make_params(**overrides)).hex() == P1_KAPPA_STAR.hex()
+
+
+def test_breakeven_kappa_matches_its_closed_form():
+    # Zero floor value and smooth fit together put beta2*(kappa*) at beta0*, so
+    # kappa* = kappa(beta0*/alpha0); the search stops at 1e-10 relative.
+    rng = np.random.default_rng(2026)
+    for p in [make_params()] + [random_params(rng, with_kappa=True) for _ in range(30)]:
+        ks = breakeven_kappa(p)
+        beta0 = optimal_barrier_beta0(p)
+        closed = injections._kappa_of_ratio(beta0 / p.alpha0, p)
+        assert ks == pytest.approx(closed, rel=1e-9)
+        assert optimal_barrier_beta2(replace(p, kappa=ks)) == pytest.approx(beta0, rel=1e-8)
+
+
+def test_injection_band_below_breakeven_is_worth_at_least_the_ruin_stopped_value():
+    # Below kappa*, running beta0* until ruin and the band after it is a feasible
+    # injection policy, so the optimal band is worth at least the ruin-stopped value.
+    rng = np.random.default_rng(7)
+    for p in [make_params()] + [random_params(rng, with_kappa=True) for _ in range(40)]:
+        ks = breakeven_kappa(p)
+        beta0 = optimal_barrier_beta0(p)
+        for f in (0.5, 0.9, 0.99):
+            pk = replace(p, kappa=1.0 + f * (ks - 1.0))
+            beta2 = optimal_barrier_beta2(pk)
+            grid = np.geomspace(p.alpha0, 3.0 * max(beta0, beta2), 512)
+            ruin_stopped = closed_form_value(beta0, p).evaluate(grid, 1.0)
+            band = double_barrier_value(beta2, p.alpha0, pk).evaluate(grid, 1.0)
+            slack = 1e-12 * np.max(np.abs(ruin_stopped))
+            assert np.all(band >= ruin_stopped - slack), (p, f)
+
+
 def test_breakeven_no_root_below_cap_raises():
     p = make_params()
     with pytest.raises(NoBreakeven):
@@ -378,8 +423,9 @@ def test_breakeven_kappa_rejects_a_cap_naming_it(cap):
 @pytest.mark.parametrize("kappa_of_ratio, msg", [
     (lambda t, p: p.kappa,
      "psi(1.000000000001) = 0.0 is not positive; no root bracket just above alpha0"),
-    (lambda t, p: 1.0, f"psi did not change sign below alpha0 * 2**{injections.MAX_DOUBLINGS}"),
-], ids=["no-positive-score-above-alpha0", "no-sign-change-within-the-doubling-cap"])
+    (lambda t, p: 1.0,
+     "psi is still positive at beta = 8.98846567431158e+307, whose double overflows"),
+], ids=["no-positive-score-above-alpha0", "no-sign-change-before-the-bracket-overflows"])
 def test_beta2_bracket_failures(monkeypatch, kappa_of_ratio, msg):
     monkeypatch.setattr(injections, "_kappa_of_ratio", kappa_of_ratio)
     with pytest.raises(NumericalError, match=f"^{re.escape(msg)}$") as details:

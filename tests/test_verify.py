@@ -172,7 +172,7 @@ def test_generator_fd_matches_analytic():
     pk = injection_params()
     dv = double_barrier_value(optimal_barrier_beta2(pk), pk.alpha0, pk)
     for fn, r, q in [(cf, 2.0, p), (cf, 5.0, p), (dv, 1.4, pk)]:
-        approx = generator(verify._fd_partials(fn, r), r, q)
+        approx = generator(verify._fd_partials(fn, r)[1], r, q)
         assert approx == pytest.approx(generator(fn.partials(r, 1.0), r, q), rel=1e-4, abs=1e-8)
 
 
@@ -185,7 +185,7 @@ def test_generator_fd_is_second_order(monkeypatch):
     def fd_error(value_fn, r, p, h_rel):
         monkeypatch.setattr(verify, "FD_REL_STEP", h_rel)
         exact = generator(value_fn.partials(r, 1.0), r, p)
-        return abs(generator(verify._fd_partials(value_fn, r), r, p) - exact)
+        return abs(generator(verify._fd_partials(value_fn, r)[1], r, p) - exact)
 
     def slope(value_fn, r, p):
         err_coarse, err_fine = (fd_error(value_fn, r, p, h) for h in (h_coarse, h_fine))
@@ -229,12 +229,13 @@ def test_one_stencil_evaluation_matches_nine():
         ):
             edge = p.alpha0 * (1.0 + 10.0 * verify.FD_REL_STEP)
             grid = np.geomspace(edge, 3.0 * fn.beta, verify.N_GRID)
-            for got, want in zip(verify._fd_partials(fn, grid), nine_call_partials(fn, grid)):
+            value, parts = verify._fd_partials(fn, grid)
+            assert np.array_equal(value, fn.evaluate(grid, 1.0))
+            for got, want in zip(parts, nine_call_partials(fn, grid)):
                 assert np.array_equal(got, want)
             r = float(grid[verify.N_GRID // 3])
-            scalar = verify._fd_partials(fn, r)
-            assert all(type(d) is float for d in scalar)
-            assert scalar == nine_call_partials(fn, r)
+            value, parts = verify._fd_partials(fn, r)
+            assert (value, parts) == (fn.evaluate(r, 1.0), nine_call_partials(fn, r))
 
 def test_lemma_checks_require_their_optional_parameter():
     with pytest.raises(MissingParameter):
@@ -307,6 +308,15 @@ def test_lemma_grid_that_overflows_names_the_barrier(mode):
         check_injection_lemma(injection_params(), barrier=math.inf, mode=mode)
 
 
+@pytest.mark.parametrize("check", [check_solvency_lemma, check_injection_lemma])
+def test_finite_difference_lemma_at_a_tiny_floor_raises_no_warning(check):
+    # At alpha0 = 1e-200 the squared steps h1 * h1 and h * h underflow to 0; the report,
+    # not a divide-by-zero RuntimeWarning (an error in this suite), shows what follows.
+    p = make_params(alpha0=1e-200, alpha1=1.2e-200, kappa=1.05)
+    report = check(p, mode="finite-difference")
+    assert report.ratio_lo == 1e-200 and report.mode == "finite-difference"
+
+
 def test_non_finite_generator_residuals_fail_the_lemma():
     # At a barrier of 1e300 the value itself overflows far up the grid.
     report = check_solvency_lemma(solvency_params(), barrier=1e300)
@@ -354,7 +364,7 @@ def test_grid_pass_matches_per_point_calls(problem, mode, monkeypatch):
             if x != max(r[i], edge):
                 assert abs(x - r[i]) <= 1e-3 * r[i]
         scalar_parts = (
-            fn.partials(x, 1.0) if mode == "analytic" else verify._fd_partials(fn, x)
+            fn.partials(x, 1.0) if mode == "analytic" else verify._fd_partials(fn, x)[1]
         )
         assert tuple(parts[i]) == tuple(scalar_parts)
         terms = (*verify._generator_terms(scalar_parts, x, p), -p.delta * fn.evaluate(x, 1.0))
