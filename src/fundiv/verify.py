@@ -21,10 +21,11 @@ Residuals of (A - delta)f are reported relative to the sum of the magnitudes
 of the individual terms, which is the natural scale for a sum that should
 cancel.  Finite-difference mode uses central 9-point stencils on the same
 arrays, with steps 1e-5 relative to each coordinate, and evaluates all nine
-points of every stencil in one call; a grid point whose stencil would
-straddle the payout barrier moves three stencil widths off it rather than
-being differenced across the kink.  A one-sided stencil on one ray steps
-toward the other by the same relative step, capped at half the gap.
+points of every stencil in one call; a grid point whose stencil would straddle
+the payout barrier moves three stencil widths off it rather than being
+differenced across the kink.  A one-sided stencil on one ray steps toward the
+other by the same relative step, capped at half the gap.  Every difference
+divides by one step at a time: a squared step can leave float range.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ def _fd_partials(fn, r):
     f0, fp, fm, gp, gm, fpp, fpm, fmp, fmm = fn.evaluate(r + u * h1, 1.0 + v * h2)
     d1 = (fp - fm) / (2.0 * h1)
     d2 = (gp - gm) / (2.0 * h2)
-    d11 = (fp - 2.0 * f0 + fm) / (h1 * h1)
-    d22 = (gp - 2.0 * f0 + gm) / (h2 * h2)
-    d12 = (fpp - fpm - fmp + fmm) / (4.0 * h1 * h2)
+    d11 = (fp - 2.0 * f0 + fm) / h1 / h1
+    d22 = (gp - 2.0 * f0 + gm) / h2 / h2
+    d12 = (fpp - fpm - fmp + fmm) / (4.0 * h1) / h2
     return f0, (d1, d2, d11, d22, d12)
 
 
@@ -146,11 +147,9 @@ def _one_sided(fn, r: float, toward: float) -> tuple[float, float]:
     """Second-order one-sided d/dx1 and d2/dx1^2 at (r, 1) from r, r - h and r - 2h,
     stepping toward ``toward`` by FD_REL_STEP r capped at half the gap (none: NaN)."""
     h = math.copysign(min(FD_REL_STEP * r, abs(r - toward) / 2), r - toward)
-    if h == 0.0:
-        return math.nan, math.nan
     f0, f1, f2 = fn.evaluate(r - np.array([0.0, 1.0, 2.0]) * h, 1.0)
     d1 = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
-    d11 = (f0 - 2.0 * f1 + f2) / (h * h)
+    d11 = (f0 - 2.0 * f1 + f2) / h / h
     return d1, d11
 
 
