@@ -128,7 +128,7 @@ def _checked_read(fn: closed_form.ClosedFormValue, x1: float, x2: float) -> tupl
 
 
 def cmd_barriers(args: argparse.Namespace, p: ModelParams) -> int:
-    record = asdict(closed_form.exponents(p))
+    record = closed_form.exponents(p)._asdict()
     optima = {"0": _value_fn("unconstrained", p)}
     if p.alpha1 is not None:
         optima["1"] = _value_fn("solvency", p)

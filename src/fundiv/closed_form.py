@@ -15,8 +15,11 @@ where zeta solves the characteristic quadratic
     sigma~^2 = sigma_A^2 + sigma_L^2 - 2 rho sigma_A sigma_L.
 
 The quadratic has one negative root zeta1 and one root zeta2 > 1 whenever the
-parameters validate.  Pinning the value to zero at the ruin ray and its
-x1-slope to one at the payout ray gives, with u = r / alpha0,
+parameters validate; :func:`exponents` returns them, with sigma~^2, as an
+immutable named tuple, and raises :class:`NumericalError` where the float roots
+leave zeta1 < 0 < 1 < zeta2 < inf (a huge sigma~^2 rounds zeta2 to 1).
+Pinning the value to zero at the ruin ray and its x1-slope to one at the
+payout ray gives, with u = r / alpha0,
 
     V(x1, x2; beta) = alpha0 x2 * (u^zeta1 - u^zeta2) / denom(beta),
     denom(beta)     = zeta1 (beta/alpha0)^(zeta1-1) - zeta2 (beta/alpha0)^(zeta2-1),
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +66,7 @@ def _rpow(base: float, expo: float) -> float:
     return math.exp(expo * math.log(base))
 
 
-@dataclass(frozen=True)
-class Exponents:
+class Exponents(NamedTuple):
     """Roots of the characteristic quadratic plus the combined variance."""
 
     sigma_tilde_sq: float
@@ -77,17 +80,29 @@ def exponents(p: ModelParams) -> Exponents:
     Uses the cancellation-free quadratic formula (larger-magnitude root from
     the discriminant, the other from the product of roots) so that both roots
     carry full relative precision; the two roots straddle [0, 1] because the
-    quadratic is negative at 0 and at 1.
+    quadratic is negative at 0 and at 1.  Returns an immutable named tuple.
+
+    Raises :class:`NumericalError` when the roots leave float precision: half
+    of sigma~^2 is not a positive finite float, the linear coefficient and the
+    discriminant both underflow to zero, or the float roots miss
+    zeta1 < 0 < 1 < zeta2 < inf (a huge sigma~^2 rounds zeta2 to 1).
     """
     s2 = p.sigma_A * p.sigma_A + p.sigma_L * p.sigma_L - 2.0 * p.rho * p.sigma_A * p.sigma_L
     a = 0.5 * s2
-    b = p.mu_A - p.mu_L - 0.5 * s2
+    if not 0.0 < a < math.inf:
+        raise NumericalError(f"sigma_tilde_sq = {s2!r}: half of it must be positive and finite")
+    b = p.mu_A - p.mu_L - a
     c = p.mu_L - p.delta
-    disc = b * b - 4.0 * a * c  # c < 0 and a > 0, so this is strictly positive
+    disc = b * b - 4.0 * a * c  # c < 0 and a > 0, so this is positive unless 4ac underflows
     q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    if q == 0.0:
+        raise NumericalError("the quadratic's linear coefficient and discriminant both underflow to 0")
     r1 = q / a
     r2 = c / q
-    return Exponents(sigma_tilde_sq=s2, zeta1=min(r1, r2), zeta2=max(r1, r2))
+    z1, z2 = min(r1, r2), max(r1, r2)
+    if not (z1 < 0.0 and 1.0 < z2 < math.inf):
+        raise NumericalError(f"roots zeta1 = {z1!r}, zeta2 = {z2!r} miss zeta1 < 0 < 1 < zeta2 < inf")
+    return Exponents(s2, z1, z2)
 
 
 @dataclass(frozen=True)

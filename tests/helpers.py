@@ -42,6 +42,24 @@ LOWVOL = dict(
     alpha0=1.0,
 )
 
+# Overrides of P1 that pass validation but whose characteristic roots leave
+# float precision, so exponents raises NumericalError: zeta2 rounds to 1
+# (sigma_A or sigma_L 1e8, sigma_A 1e77), a root overflows (mu_L -1e300,
+# sigma_A 1e78), sigma~^2 is 0 or inf (rho next to 1 at equal sigmas,
+# sigma_A 1e155), half of sigma~^2 underflows to 0 (sigma_A 2.3e-162) and
+# the linear coefficient and the discriminant both underflow to 0.
+DEGENERATE_ROOTS = [
+    dict(sigma_A=1e8),
+    dict(sigma_L=1e8),
+    dict(sigma_A=1e77),
+    dict(mu_L=-1e300),
+    dict(sigma_A=1e78),
+    dict(sigma_A=1.478497532159144, sigma_L=1.478497532159144, rho=0.9999999999999999),
+    dict(sigma_A=1e155),
+    dict(sigma_A=2.3e-162, sigma_L=1e-170),
+    dict(mu_A=5e-201, mu_L=0.0, sigma_A=1e-100, sigma_L=1e-170, delta=1e-200),
+]
+
 
 def make_params(base=P1, **overrides) -> ModelParams:
     return validate(from_mapping({**base, **overrides}))

@@ -35,7 +35,7 @@ from fundiv import (
     value_unconstrained,
 )
 from fundiv.cli import build_parser, main
-from helpers import P1, make_params
+from helpers import DEGENERATE_ROOTS, P1, make_params
 
 P1_BETA0 = 3.406023481382157
 P1_VALUE_2_1 = 1.134040332600657
@@ -226,6 +226,18 @@ def test_value_non_finite_point_exits_2(capsys, p1_config, flag, point):
     assert rc == 2
     assert out == ""
     assert err.startswith(f"error: {flag} ") and err.rstrip().endswith("must be finite")
+
+
+@pytest.mark.parametrize("overrides", DEGENERATE_ROOTS, ids=str)
+@pytest.mark.parametrize("cmd", ["barriers", "verify"])
+def test_degenerate_roots_exit_3(capsys, p1_config, cmd, overrides):
+    flags = [f"--{k}={v!r}" for k, v in overrides.items()]
+    rc, out, err = run_cli(
+        capsys, cmd, "--config", p1_config, "--alpha1", "1.2", "--kappa", "1.05", *flags
+    )
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fundiv import (
+    ClosedFormValue,
     DomainError,
+    Exponents,
     NumericalError,
     closed_form_value,
     constrained_barrier_beta1,
@@ -20,7 +22,13 @@ from fundiv import (
     optimal_barrier_beta2,
     value_unconstrained,
 )
-from helpers import P1, golden_argmax_denominator, make_params, random_params
+from helpers import (
+    DEGENERATE_ROOTS,
+    P1,
+    golden_argmax_denominator,
+    make_params,
+    random_params,
+)
 
 # Frozen values for the baseline set, cross-checked against the oracles below.
 P1_ZETA1 = -0.7165151389911679
@@ -78,6 +86,39 @@ def test_exponents_satisfy_characteristic_quadratic(
                                               rel=1e-12)
     assert e.zeta1 * e.zeta2 == pytest.approx(2.0 * (p.mu_L - p.delta) / e.sigma_tilde_sq,
                                               rel=1e-12)
+
+
+def test_exponents_contract():
+    e = exponents(make_params())
+    assert Exponents._fields == ("sigma_tilde_sq", "zeta1", "zeta2")
+    assert (e.sigma_tilde_sq, e.zeta1, e.zeta2) == (0.1, P1_ZETA1, P1_ZETA2)
+    assert repr(e) == (
+        "Exponents(sigma_tilde_sq=0.1, zeta1=-0.7165151389911679, zeta2=1.1165151389911678)"
+    )
+    with pytest.raises(AttributeError):
+        e.zeta1 = 0.0
+    again = exponents(make_params())
+    assert again == e and hash(again) == hash(e)
+    assert Exponents(0.1, P1_ZETA1, P1_ZETA2) == e
+    assert list(e._asdict().items()) == [
+        ("sigma_tilde_sq", 0.1), ("zeta1", P1_ZETA1), ("zeta2", P1_ZETA2)
+    ]
+
+
+def test_closed_form_value_repr():
+    cf = closed_form_value(2.0, make_params())
+    assert isinstance(cf, ClosedFormValue)
+    assert repr(cf) == (
+        "ClosedFormValue(beta=2.0, gamma=1.0, alpha0=1.0, kappa=None, "
+        "exponents=Exponents(sigma_tilde_sq=0.1, zeta1=-0.7165151389911679, "
+        "zeta2=1.1165151389911678), A=-0.700058606223302, B=0.700058606223302)"
+    )
+
+
+@pytest.mark.parametrize("overrides", DEGENERATE_ROOTS, ids=str)
+def test_degenerate_roots_raise_numerical_error(overrides):
+    with pytest.raises(NumericalError):
+        exponents(make_params(**overrides))
 
 
 def test_value_zero_at_ruin_ray():
