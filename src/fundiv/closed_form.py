@@ -19,14 +19,15 @@ parameters validate; :func:`exponents` returns them, with sigma~^2, as an
 immutable named tuple, and raises :class:`NumericalError` where the float roots
 leave zeta1 < 0 < 1 < zeta2 < inf (a huge sigma~^2 rounds zeta2 to 1).
 Pinning the value to zero at the ruin ray and its x1-slope to one at the
-payout ray gives, with u = r / alpha0,
+payout ray gives, with u = r / alpha0 and w = beta / alpha0 >= 1,
 
-    V(x1, x2; beta) = alpha0 x2 * (u^zeta1 - u^zeta2) / denom(beta),
-    denom(beta)     = zeta1 (beta/alpha0)^(zeta1-1) - zeta2 (beta/alpha0)^(zeta2-1),
+    V(x1, x2; beta) = x2 * A * (u^zeta1 - u^zeta2),
+    A               = alpha0 w^(1-zeta2) / (zeta1 w^(zeta1-zeta2) - zeta2),
 
-on the band, and the linear continuation x1 - beta x2 + V(beta x2, x2; beta)
-above it: the case gamma = alpha0, A = -B = alpha0 / denom of
-:class:`ClosedFormValue`, which also holds the band with forced injections.
+on the band (both powers at most one, so A cannot overflow), and the linear
+continuation x1 - beta x2 + V(beta x2, x2; beta) above it: the case
+gamma = alpha0, B = -A of :class:`ClosedFormValue`, which also holds the band
+with forced injections.
 The payout level maximising V turns the one-sided second derivative at the
 barrier to zero (smooth fit) and is
 
@@ -185,15 +186,13 @@ def _scalar(a: np.ndarray) -> float | np.ndarray:
 
 
 def closed_form_value(beta: float, p: ModelParams) -> ClosedFormValue:
-    """Build the ruin-stopped value function for an arbitrary admissible barrier."""
+    """Ruin-stopped value at any admissible barrier; with w = beta/alpha0, B = -A and
+    A = alpha0 w^(1-zeta2) / (zeta1 w^(zeta1-zeta2) - zeta2), which cannot overflow."""
     e = exponents(p)
     if not beta >= p.alpha0:
         raise DomainError(f"barrier beta = {beta!r} must be >= alpha0 = {p.alpha0!r}")
     w = beta / p.alpha0
-    try:
-        a = p.alpha0 / (e.zeta1 * _rpow(w, e.zeta1 - 1.0) - e.zeta2 * _rpow(w, e.zeta2 - 1.0))
-    except OverflowError:
-        raise NumericalError(f"band weights overflow at beta = {beta!r}") from None
+    a = p.alpha0 * _rpow(w, 1.0 - e.zeta2) / (e.zeta1 * _rpow(w, e.zeta1 - e.zeta2) - e.zeta2)
     return ClosedFormValue(
         beta=beta, gamma=p.alpha0, alpha0=p.alpha0, kappa=None, exponents=e, A=a, B=-a
     )

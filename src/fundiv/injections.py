@@ -8,7 +8,10 @@ value is the two-power combination
     V(x1, x2) = x2 (A u^zeta1 + B u^zeta2),      u = x1 / (gamma x2),
 
 with the weights pinned by the slope conditions dV/dx1 = 1 on the payout
-ray and dV/dx1 = kappa on the injection ray.  Below gamma the value continues
+ray and dV/dx1 = kappa on the injection ray: A = gamma (kappa - s) /
+(zeta1 (1 - r)) and B = gamma (s - kappa r) / (zeta2 (1 - r)), where s =
+t^(1-zeta2) and r = t^(zeta1-zeta2) of t = beta/gamma are at most one, so no
+weight overflows.  Below gamma the value continues
 linearly with slope kappa (inject immediately up to gamma), above beta with
 slope one (pay the overshoot immediately).  The value is a
 :class:`~fundiv.closed_form.ClosedFormValue`, the same class as the
@@ -36,6 +39,7 @@ where its 8-point monotonicity sample leaves the sign open.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 
 from .closed_form import ClosedFormValue, _rpow, exponents
@@ -66,26 +70,20 @@ def double_barrier_value(beta: float, gamma: float, p: ModelParams) -> ClosedFor
     """Build the piecewise value function for a fixed barrier pair.
 
     The band weights follow from dV/dx1 = kappa on the injection ray and
-    dV/dx1 = 1 on the payout ray; with t = beta/gamma >= 1, the only base
-    ever raised to a power,
+    dV/dx1 = 1 on the payout ray; s = t^(1-zeta2) and r = t^(zeta1-zeta2) of
+    t = beta/gamma > 1 lie in [0, 1), so neither weight overflows:
 
-        A = gamma (1 - kappa t^(zeta2-1)) / (zeta1 t^(zeta1-1) (1 - t^(zeta2-zeta1))),
-        B = (kappa gamma - zeta1 A) / zeta2.
+        A = gamma (kappa - s) / (zeta1 (1 - r)),
+        B = gamma (s - kappa r) / (zeta2 (1 - r)),  which is 0 at beta = inf.
     """
     e = exponents(p)
     kappa = float(require_kappa(p))
     _check_band(beta, gamma, p)
     z1, z2 = e.zeta1, e.zeta2
     t = beta / gamma
-    try:
-        a = gamma * (1.0 - kappa * _rpow(t, z2 - 1.0)) / (
-            z1 * _rpow(t, z1 - 1.0) * (1.0 - _rpow(t, z2 - z1))
-        )
-    except OverflowError:
-        a = math.nan
-    b = (kappa * gamma - z1 * a) / z2
-    if not (math.isfinite(a) and math.isfinite(b)):  # t = inf gives nan, not OverflowError
-        raise NumericalError(f"band weights overflow at beta = {beta!r}, gamma = {gamma!r}")
+    s, r = _rpow(t, 1.0 - z2), _rpow(t, z1 - z2)
+    a = gamma * (kappa - s) / (z1 * (1.0 - r))
+    b = gamma * (s - kappa * r) / (z2 * (1.0 - r))
     return ClosedFormValue(
         beta=beta, gamma=gamma, alpha0=p.alpha0, kappa=kappa, exponents=e, A=a, B=b
     )
@@ -125,10 +123,10 @@ def optimal_barrier_beta2(p: ModelParams) -> float:
     """Optimal payout barrier with injections pinned at gamma* = alpha0.
 
     Bisection on :func:`psi` with initial bracket
-    [alpha0 * (1 + 1e-12), 2 * alpha0]; the upper end is doubled until the
-    sign changes and the root is located to an absolute tolerance of
-    1e-12 * alpha0, or to adjacent floats where their spacing is wider.  A
-    bracket end or midpoint past the largest float raises
+    [alpha0 * (1 + 1e-12), 2 * alpha0]; the upper end is doubled, up to the
+    largest float, until the sign changes and the root is located to an
+    absolute tolerance of 1e-12 * alpha0, or to adjacent floats where their
+    spacing is wider.  A score still positive at the largest float raises
     :class:`NumericalError`.
     """
     gamma = p.alpha0
@@ -140,18 +138,16 @@ def optimal_barrier_beta2(p: ModelParams) -> float:
             f"psi({lo!r}) = {f_lo!r} is not positive; no root bracket just above alpha0"
         )
     while True:
-        if 2.0 * hi == math.inf:
-            raise NumericalError(f"psi is still positive at beta = {hi!r}, whose double overflows")
-        hi *= 2.0
+        hi = min(2.0 * hi, sys.float_info.max)
         if not psi(hi, gamma, p) > 0.0:
             break
+        if hi == sys.float_info.max:
+            raise NumericalError(f"psi is still positive at the largest float, beta = {hi!r}")
     tol = 1e-12 * p.alpha0
     while True:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # halving first keeps the sum finite
         # Done at the tolerance, or at adjacent floats where it is below their spacing.
         if not (hi - lo > tol and lo < mid < hi):
-            if mid == math.inf:  # lo + hi overflowed
-                raise NumericalError(f"the root bracket [{lo!r}, {hi!r}] has no finite midpoint")
             return mid
         if psi(mid, gamma, p) > 0.0:
             lo = mid

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Mapping
@@ -81,6 +82,8 @@ def validate(raw: ModelParams) -> ModelParams:
         raise ParameterError("delta", raw.delta, "delta > 0")
     if not raw.alpha0 > 0.0:
         raise ParameterError("alpha0", raw.alpha0, "alpha0 > 0")
+    if raw.alpha0 < sys.float_info.min:  # the closed forms lose their digits at a subnormal
+        raise ParameterError("alpha0", raw.alpha0, f"alpha0 >= {sys.float_info.min!r}, a normal float")
     if raw.alpha1 is not None and not raw.alpha1 > raw.alpha0:
         raise ParameterError("alpha1", raw.alpha1, f"alpha1 > alpha0 = {raw.alpha0!r}")
     if raw.kappa is not None and not raw.kappa > 1.0:

@@ -245,12 +245,30 @@ def test_degenerate_roots_exit_3(capsys, p1_config, cmd, overrides):
     ("verify", "--problem", "injection", "--barrier-override", "1e200"),
 ])
 def test_closed_form_overflow_exits_3(capsys, p1_config, argv):
-    # t^(zeta2 - 1) overflows a float in the band weights of a 1e200 barrier.
+    # The name predates band weights built from powers no larger than one: a 1e200
+    # barrier has finite weights, so value prints the never-pay value and verify a
+    # failing report.
     rc, out, err = run_cli(capsys, argv[0], "--config", p1_config, "--kappa", "1.05", *argv[1:])
-    assert rc == 3
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "1e+200" in err  # names the barrier whose band weights overflowed
+    assert err == ""
+    if argv[0] == "value":
+        assert rc == 0
+        assert kv(out)["value"] == "-0.89180803104083184"
+    else:
+        assert rc == 2
+        assert "passed = false" in out
+
+
+def test_value_on_a_wide_injection_band_keeps_its_digits(capsys, p1_config):
+    # The weight B once cancelled every digit here: value 645710740595.34058 and
+    # dvalue_dx1 21339.67 on the payout ray, whose slope is one.
+    rc, out, err = run_cli(
+        capsys, "value", "--config", p1_config, "--problem", "injection", "--delta", "0.5",
+        "--kappa", "1.05", "--beta", "1e8", "--x1", "1e8", "--x2", "1",
+    )
+    assert (rc, err) == (0, "")
+    values = kv(out)
+    assert float(values["value"]) == pytest.approx(30258697.283875, rel=1e-12)
+    assert float(values["dvalue_dx1"]) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.filterwarnings("error")
@@ -275,6 +293,13 @@ def test_infinite_parameter_exits_1(capsys, p1_config, tmp_path):
     rc, out, err = run_cli(capsys, "barriers", "--config", p1_config, "--mu_L", "-inf")
     assert (rc, out) == (1, "")
     assert err == "error: mu_L = -inf violates requirement: mu_L must be finite\n"
+
+
+def test_subnormal_alpha0_exits_1(capsys, p1_config):
+    rc, out, err = run_cli(capsys, "barriers", "--config", p1_config, "--alpha0", "1e-310")
+    assert (rc, out) == (1, "")
+    assert err == ("error: alpha0 = 1e-310 violates requirement: "
+                   f"alpha0 >= {sys.float_info.min!r}, a normal float\n")
 
 
 @pytest.mark.filterwarnings("error")
@@ -441,10 +466,17 @@ SIM_RUN = ("--x1_0", "2.0", "--x2_0", "1.0", "--dt", "0.25", "--horizon_T", "1.0
     ("verify", "--problem", "injection", "--barrier-override", "inf"),
 ])
 def test_double_barrier_at_infinity_exits_3(capsys, p1_config, argv):
-    # As at beta = 1e300, not a nan z-score, value or report.
+    # The name predates band weights built from powers no larger than one: at
+    # beta = inf they are finite, so simulate and value read the never-pay value,
+    # and verify stops at its lemma grid, as for the ruin-stopped problem.
     rc, out, err = run_cli(capsys, argv[0], "--config", p1_config, "--kappa", "1.05", *argv[1:])
-    assert (rc, out) == (3, "")
-    assert err == "error: band weights overflow at beta = inf, gamma = 1.0\n"
+    if argv[0] == "verify":
+        assert (rc, out) == (2, "")
+        assert err == "error: the lemma grid [alpha0, 3 barrier] overflows at barrier = inf\n"
+        return
+    assert (rc, err) == (0, "")
+    key = "closed_form_value" if argv[0] == "simulate" else "value"
+    assert kv(out)[key] == "-0.89180803104083184"
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -533,14 +565,21 @@ def test_sweep_beta2_vs_kappa(capsys, p1_config):
 
 @pytest.mark.parametrize("argv, msg", [
     (("sweep", "--alpha0", "1e307", "--kind", "beta2-vs-kappa",
-      "--kappa_min", "1.01", "--kappa_max", "5", "--steps", "3"),
-     "the root bracket [8.5000000000005e+307, 1.6e+308] has no finite midpoint"),
+      "--kappa_min", "1.01", "--kappa_max", "5", "--steps", "3"), None),
     (("barriers", "--alpha0", "1e308", "--kappa", "1.05"),
-     "psi is still positive at beta = 1e+308, whose double overflows"),
+     "psi is still positive at the largest float, beta = 1.7976931348623157e+308"),
 ], ids=["beta2-vs-kappa", "barriers"])
 def test_beta2_beyond_float_range_exits_3(capsys, p1_config, argv, msg):
-    # beta2-vs-kappa printed the row 5,inf and exited 0 before the bracket was checked.
+    # The name predates the bracket that stops at the largest float: beta2*(5) ~
+    # 1.16e308 lies below it and is printed (msg None).
     rc, out, err = run_cli(capsys, argv[0], "--config", p1_config, *argv[1:])
+    if msg is None:
+        assert (rc, err) == (0, "")
+        p = make_params(alpha0=1e307)
+        for row in out.splitlines()[-3:]:
+            kappa, beta2 = map(float, row.split(","))
+            assert kappa_from_barrier(beta2, p.alpha0, p) == pytest.approx(kappa, rel=1e-12)
+        return
     assert (rc, out) == (3, "")
     assert err == f"error: {msg}\n"
 

@@ -136,9 +136,12 @@ def test_value_below_ruin_level_rejected():
 
 
 def test_overflowing_band_weight_names_the_barrier():
-    # zeta2 = 3.30 at delta = 0.5, so (1e300)^(zeta2 - 1) is beyond float range.
-    with pytest.raises(NumericalError, match=r"beta = 1e\+300"):
-        closed_form_value(1e300, make_params(delta=0.5))
+    # The name predates the weight built from powers no larger than one: zeta2 =
+    # 3.30 at delta = 0.5 put (1e300)^(zeta2 - 1) beyond float range, but
+    # (1e300)^(1 - zeta2) just rounds to zero, and the barrier never pays.
+    cf = closed_form_value(1e300, make_params(delta=0.5))
+    assert math.isfinite(cf.A) and math.isfinite(cf.B)
+    assert cf.evaluate(2.0, 1.0) == 0.0
 
 
 def test_slope_one_at_any_barrier():

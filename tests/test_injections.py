@@ -4,6 +4,7 @@ conditions, the Psi root, cost recovery, and the break-even cost."""
 import math
 import re
 import signal
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -133,9 +134,11 @@ def test_injection_band_requires_valid_geometry():
 
 
 def test_overflowing_band_weights_name_the_barrier():
+    # The name predates band weights built from powers no larger than one, which
+    # cannot overflow: at 1e200 they are finite.
     p = make_params(kappa=1.05)
-    with pytest.raises(NumericalError, match=r"beta = 1e\+200, gamma = 1\.0"):
-        double_barrier_value(1e200, 1.0, p)
+    fn = double_barrier_value(1e200, 1.0, p)
+    assert math.isfinite(fn.A) and math.isfinite(fn.B)
     # kappa_from_barrier keeps the bare OverflowError, which callers catch to
     # tell a cost beyond float range from a failed computation.
     with pytest.raises(OverflowError):
@@ -219,19 +222,25 @@ def test_beta2_returns_where_float_spacing_exceeds_tolerance():
 
 
 @pytest.mark.parametrize("overrides, msg", [
-    # beta2* = 1.81 alpha0 at kappa = 1.05: the first doubled bracket end overflows.
+    # beta2* = 1.81 alpha0 at kappa = 1.05 lies beyond the largest float.
     (dict(alpha0=1e308, kappa=1.05),
-     "psi is still positive at beta = 1e+308, whose double overflows"),
-    # beta2* ~ 1.16e308 at kappa = 5 lies below the bracket end 1.6e308, but lo + hi overflows.
-    (dict(alpha0=1e307, kappa=5.0),
-     "the root bracket [8.5000000000005e+307, 1.6e+308] has no finite midpoint"),
-    # beta2* ~ 1.3e308, where the float spacing exceeds the 1e-12 alpha0 tolerance.
-    (dict(base=WIDE_SPACING, alpha0=3.8e303),
-     "psi is still positive at beta = 1.245184e+308, whose double overflows"),
+     "psi is still positive at the largest float, beta = 1.7976931348623157e+308"),
+    # beta2* ~ 1.16e308 at kappa = 5, where lo + hi would overflow.
+    (dict(alpha0=1e307, kappa=5.0), None),
+    # beta2* ~ 1.28e308, where the float spacing exceeds the 1e-12 alpha0 tolerance.
+    (dict(base=WIDE_SPACING, alpha0=3.8e303), None),
 ], ids=["bracket-end", "midpoint", "wide-spacing"])
 def test_beta2_beyond_float_range_raises(overrides, msg):
+    # The name predates the bracket that stops at the largest float: a root
+    # below it is returned (msg None), and only one beyond it raises.
+    p = make_params(**overrides)
+    if msg is None:
+        b2 = returns_in_time(optimal_barrier_beta2, p)
+        assert 1e308 < b2 < math.inf
+        assert kappa_from_barrier(b2, p.alpha0, p) == pytest.approx(p.kappa, rel=1e-12)
+        return
     with pytest.raises(NumericalError, match=f"^{re.escape(msg)}$") as details:
-        returns_in_time(optimal_barrier_beta2, make_params(**overrides))
+        returns_in_time(optimal_barrier_beta2, p)
     assert type(details.value) is NumericalError
 
 
@@ -369,12 +378,12 @@ def test_breakeven_kappa_rises_when_asset_risk_falls():
 
 
 @pytest.mark.parametrize("overrides", [
-    *(dict(alpha0=a) for a in (5e-324, 1e-300, 1e-5, 1.0, 1e300, 1e305, 1e307)),
+    *(dict(alpha0=a) for a in (sys.float_info.min, 1e-300, 1e-5, 1.0, 1e300, 1e305, 1e307)),
     dict(alpha0=1e-5, alpha1=2e-5),
 ], ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items()))
 def test_breakeven_kappa_does_not_depend_on_alpha0(overrides):
     # kappa* is a function of the ratio beta2*/alpha0; a search at the caller's alpha0
-    # overflows at 1e305 and rounds differently at the subnormal 5e-324.
+    # overflows at 1e305.
     assert breakeven_kappa(make_params(**overrides)).hex() == P1_KAPPA_STAR.hex()
 
 
@@ -424,7 +433,7 @@ def test_breakeven_kappa_rejects_a_cap_naming_it(cap):
     (lambda t, p: p.kappa,
      "psi(1.000000000001) = 0.0 is not positive; no root bracket just above alpha0"),
     (lambda t, p: 1.0,
-     "psi is still positive at beta = 8.98846567431158e+307, whose double overflows"),
+     "psi is still positive at the largest float, beta = 1.7976931348623157e+308"),
 ], ids=["no-positive-score-above-alpha0", "no-sign-change-before-the-bracket-overflows"])
 def test_beta2_bracket_failures(monkeypatch, kappa_of_ratio, msg):
     monkeypatch.setattr(injections, "_kappa_of_ratio", kappa_of_ratio)
@@ -469,12 +478,33 @@ def test_infinite_barrier_costs_infinity():
     assert psi(math.inf, p.alpha0, p) == -math.inf
 
 
-@pytest.mark.parametrize("beta", [math.inf, 1e300])
+@pytest.mark.parametrize("beta", [math.inf, 1e300, 1e200])
 def test_double_barrier_weights_that_are_not_finite_raise(beta):
-    # At beta = inf t^(zeta2 - 1) is inf rather than an OverflowError, and the weights are nan.
-    msg = f"band weights overflow at beta = {beta!r}, gamma = 1.0"
-    with pytest.raises(NumericalError, match=f"^{re.escape(msg)}$"):
-        double_barrier_value(beta, 1.0, kparams())
+    # The name predates band weights built from powers no larger than one: at a
+    # barrier that never pays they are finite, and at beta = inf the payout term
+    # vanishes, so V = kappa gamma / zeta1 u^zeta1 x2.
+    p = kparams()
+    fn = double_barrier_value(beta, 1.0, p)
+    assert math.isfinite(fn.A) and math.isfinite(fn.B)
+    if beta == math.inf:
+        assert fn.B == 0.0
+    z1 = fn.exponents.zeta1
+    never_pay = p.kappa / z1 * 2.0**z1
+    assert value_injections(2.0, 1.0, beta, 1.0, p) == pytest.approx(never_pay, rel=1e-14)
+
+
+def test_band_slopes_hold_on_wide_bands():
+    # B = (kappa gamma - zeta1 A) / zeta2 cancelled every digit on wide bands: on
+    # P1 at delta = 0.5 the payout-ray slope read 21339.67 at beta/gamma = 1e8.
+    rng = np.random.default_rng(29)
+    sets = [make_params(delta=0.5, kappa=1.05)]
+    sets += [random_params(rng, with_kappa=True) for _ in range(30)]
+    for p in sets:
+        gamma = p.alpha0
+        for t in (2.0, 1e4, 1e8, 1e12):
+            fn = double_barrier_value(t * gamma, gamma, p)
+            assert fn.partials(t * gamma, 1.0)[0] == pytest.approx(1.0, rel=1e-12), (p, t)
+            assert fn.partials(gamma, 1.0)[0] == pytest.approx(p.kappa, rel=1e-12), (p, t)
 
 
 def test_ruin_stopped_value_of_an_infinite_barrier_stays_zero():

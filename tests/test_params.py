@@ -1,6 +1,7 @@
 """Parameter container, validation order, and config-file parsing."""
 
 import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -58,6 +59,8 @@ CONSTRAINT_ROWS = [
     ("delta", 0.01, "delta > mu_A = 0.05", "DiscountTooLow"),
     ("alpha0", 0.0, "alpha0 > 0", "RuinLevelNotPositive"),
     ("alpha0", -1.0, "alpha0 > 0", "RuinLevelNotPositive"),
+    ("alpha0", 5e-324, f"alpha0 >= {sys.float_info.min!r}, a normal float", "Subnormal"),
+    ("alpha0", 1e-310, f"alpha0 >= {sys.float_info.min!r}, a normal float", "Subnormal"),
     ("alpha1", 1.0, "alpha1 > alpha0 = 1.0", "SolvencyLevelTooLow"),  # equals alpha0
     ("alpha1", 0.5, "alpha1 > alpha0 = 1.0", "SolvencyLevelTooLow"),
     ("kappa", 1.0, "kappa > 1", "InjectionCostTooLow"),

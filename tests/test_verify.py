@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from fundiv import (
     DomainError,
     MissingParameter,
-    NumericalError,
     check_injection_lemma,
     check_smooth_fit,
     check_solvency_lemma,
@@ -303,8 +302,8 @@ def test_lemma_grid_that_overflows_names_the_barrier(mode):
     flat = make_params(mu_A=0.02001, mu_L=0.02, delta=0.02002, kappa=1.05)
     with pytest.raises(DomainError, match=re.escape("overflows at barrier = 1e+308")):
         check_injection_lemma(flat, barrier=1e308, mode=mode)
-    # At inf the band weights fail first.
-    with pytest.raises(NumericalError, match="^band weights overflow at beta = inf"):
+    # At inf the band weights are finite, so the grid fails as in the solvency check.
+    with pytest.raises(DomainError, match=re.escape("overflows at barrier = inf")):
         check_injection_lemma(injection_params(), barrier=math.inf, mode=mode)
 
 
