@@ -21,9 +21,9 @@ Residuals of (A - delta)f are reported relative to the sum of the magnitudes
 of the individual terms, which is the natural scale for a sum that should
 cancel.  Finite-difference mode uses central 9-point stencils on the same
 arrays, with steps 1e-5 relative to each coordinate, and evaluates all nine
-points of every stencil in one call; a grid point whose stencil would straddle
-the payout barrier moves three stencil widths off it rather than being
-differenced across the kink.  A one-sided stencil on one ray steps toward the
+points of every stencil in one call; a grid point whose stencil would reach
+below alpha0 or straddle the payout barrier is skipped rather than differenced
+across the edge or the kink.  A one-sided stencil on one ray steps toward the
 other by the same relative step, capped at half the gap.  Every difference
 divides by one step at a time: a squared step can leave float range.
 """
@@ -133,16 +133,6 @@ def _generator_terms(partials, r, p: ModelParams):
     )
 
 
-def _clear_of_kink(r: np.ndarray, level: float, edge: float) -> np.ndarray:
-    """Move each point whose stencil straddles the kink at ``level`` three stencil widths
-    off it, on its own side unless that falls to ``edge`` or below."""
-    lo, hi = _stencil_span(r)
-    width = np.maximum(hi - r, r - lo)
-    shifted = level + np.where(r >= level, 1.0, -1.0) * 3.0 * width
-    shifted = np.where(shifted <= edge, level + 3.0 * width, shifted)
-    return np.where((lo <= level) & (level <= hi), shifted, r)
-
-
 def _one_sided(fn, r: float, toward: float) -> tuple[float, float]:
     """Second-order one-sided d/dx1 and d2/dx1^2 at (r, 1) from r, r - h and r - 2h,
     stepping toward ``toward`` by FD_REL_STEP r capped at half the gap (none: NaN)."""
@@ -164,8 +154,9 @@ def _grid_pass(fn, p: ModelParams, level: float, mode: str):
     """Evaluate ``fn`` at the ``N_GRID`` ratios of the lemma grid [alpha0, 3 level] at once.
 
     Returns arrays of the grid ratios r, the values H(r, 1), the ratios
-    r_eff where the partials were taken (r, or off the kink at ``level`` in fd
-    mode), the partials at r_eff (one row each) and (A - delta)H / scale at r_eff.
+    r_eff where the partials were taken (all of r, or in fd mode those whose
+    stencil lies at or above alpha0 and on one side of the kink at ``level``),
+    the partials at r_eff (one row each) and (A - delta)H / scale at r_eff.
     """
     if not math.isfinite(3.0 * level):
         raise DomainError(f"the lemma grid [alpha0, 3 barrier] overflows at barrier = {level!r}")
@@ -174,9 +165,8 @@ def _grid_pass(fn, p: ModelParams, level: float, mode: str):
     if mode == "analytic":
         r_eff, value_eff, parts = r, value, fn.partials(r, 1.0)
     else:
-        # Keep the whole stencil inside the domain (ratios >= alpha0) and off the kink.
-        edge = p.alpha0 * (1.0 + 10.0 * FD_REL_STEP)
-        r_eff = _clear_of_kink(np.maximum(r, edge), level, edge)
+        lo, hi = _stencil_span(r)
+        r_eff = r[(lo >= p.alpha0) & ((hi < level) | (level < lo))]
         value_eff, parts = _fd_partials(fn, r_eff)
     terms = (*_generator_terms(parts, r_eff, p), -p.delta * value_eff)
     gen = sum(terms) / np.maximum(sum(np.abs(t) for t in terms), 1e-300)

@@ -399,6 +399,27 @@ def test_breakeven_kappa_matches_its_closed_form():
         assert optimal_barrier_beta2(replace(p, kappa=ks)) == pytest.approx(beta0, rel=1e-8)
 
 
+def test_kappa_of_the_ruin_stopped_barrier_is_the_breakeven_cost():
+    # kappa_c = kappa(beta0*/alpha0) without the kappa* search: it is the ruin-stopped
+    # slope on the floor, the band optimal at kappa_c is [alpha0, beta0*] with a zero
+    # floor value A + B, and the floor value changes sign there.
+    def band(kappa):
+        pk = replace(p, kappa=kappa)
+        return double_barrier_value(optimal_barrier_beta2(pk), p.alpha0, pk)
+
+    rng = np.random.default_rng(3001)
+    for p in [make_params()] + [random_params(rng, with_kappa=True) for _ in range(30)]:
+        beta0 = optimal_barrier_beta0(p)
+        kc = injections._kappa_of_ratio(beta0 / p.alpha0, p)
+        slope = closed_form_value(beta0, p).partials(p.alpha0, 1.0)[0]
+        assert slope == pytest.approx(kc, rel=1e-14, abs=0.0)
+        at_kc = band(kc)
+        assert abs(at_kc.beta - beta0) <= 1e-12 * p.alpha0
+        assert abs(at_kc.A + at_kc.B) <= 1e-12 * p.alpha0
+        below, above = (band(1.0 + (kc - 1.0) * (1.0 + f)) for f in (-1e-6, 1e-6))
+        assert below.A + below.B > 0.0 > above.A + above.B
+
+
 def test_injection_band_below_breakeven_is_worth_at_least_the_ruin_stopped_value():
     # Below kappa*, running beta0* until ruin and the band after it is a feasible
     # injection policy, so the optimal band is worth at least the ruin-stopped value.

@@ -7,8 +7,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fundiv import (
     DomainError,
@@ -37,6 +35,17 @@ def condition(report, condition_id):
     matches = [c for c in report.condition_results if c.condition_id == condition_id]
     assert len(matches) == 1, f"{condition_id!r} not found in {report.condition_results}"
     return matches[0]
+
+
+def optimal_case(problem):
+    """(parameters, optimal barrier, value) of ``problem`` on P1, the value as its lemma builds it."""
+    if problem == "solvency":
+        p = solvency_params()
+        level = optimal_barrier_beta0(p)
+        return p, level, closed_form_value(level, p)
+    p = injection_params()
+    level = optimal_barrier_beta2(p)
+    return p, level, double_barrier_value(level, p.alpha0, p)  # gamma = alpha0
 
 
 @pytest.mark.parametrize("mode", ["analytic", "finite-difference"])
@@ -123,6 +132,27 @@ def test_perturbed_injection_barrier_fails_loudly():
     gen = condition(low, "generator-sign")
     assert not gen.passed
     assert gen.worst_violation > 100.0 * gen.tolerance
+
+
+@pytest.mark.parametrize(
+    "problem, factor, condition_id",
+    [
+        ("solvency", 1.1, "slope-at-least-one"),
+        ("solvency", 0.9, "generator-nonpositive-above"),
+        ("injection", 1.1, "c2-pasting"),
+        ("injection", 0.9, "c2-pasting"),
+    ],
+)
+def test_perturbed_barriers_fail_loudly_in_finite_difference_mode(problem, factor, condition_id):
+    # The negative controls above, judged from finite differences: a barrier 10% off the
+    # optimum still breaks a condition by several times the stencil's looser tolerance.
+    p, level, _ = optimal_case(problem)
+    check = check_solvency_lemma if problem == "solvency" else check_injection_lemma
+    report = check(p, barrier=factor * level, mode="finite-difference")
+    assert not report.passed
+    flagged = condition(report, condition_id)
+    assert not flagged.passed
+    assert flagged.worst_violation >= 5.0 * flagged.tolerance
 
 
 def test_smooth_fit_vanishes_at_optimal_barriers():
@@ -340,28 +370,21 @@ def test_generator_rows_stay_finite_where_squares_overflow():
 def test_grid_pass_matches_per_point_calls(problem, mode, monkeypatch):
     # The array pass against scalar calls at each point: the same arithmetic
     # per entry, except the residual's sum, which was an fsum per point.
-    if problem == "solvency":
-        p = solvency_params()
-        level = optimal_barrier_beta0(p)
-        fn = closed_form_value(level, p)
-    else:
-        p = injection_params()
-        level = optimal_barrier_beta2(p)
-        fn = double_barrier_value(level, p.alpha0, p)  # gamma = alpha0, as the lemma builds it
+    p, level, fn = optimal_case(problem)
     monkeypatch.setattr(verify, "N_GRID", 64)
     r, value, r_eff, parts, gen = verify._grid_pass(fn, p, level, mode)
-    edge = p.alpha0 * (1.0 + 10.0 * verify.FD_REL_STEP)
     for i in range(r.size):
         assert value[i] == fn.evaluate(float(r[i]), 1.0)
-        x = float(r_eff[i])
-        if mode == "analytic":
-            assert x == r[i]
-        else:
-            # Off the kink, and moved only where the stencil straddled it.
-            lo, hi = verify._stencil_span(x)
-            assert not lo <= level <= hi
-            if x != max(r[i], edge):
-                assert abs(x - r[i]) <= 1e-3 * r[i]
+    if mode == "analytic":
+        assert r_eff is r
+    else:
+        # Kept exactly where the whole stencil lies at or above alpha0 and misses the kink.
+        spans = [verify._stencil_span(float(x)) for x in r]
+        keep = [lo >= p.alpha0 and not lo <= level <= hi for lo, hi in spans]
+        assert not keep[0] and sum(keep) == r.size - 1  # r[0] = alpha0
+        assert r_eff.tolist() == r[keep].tolist()
+    assert parts.shape == (r_eff.size, 5) and gen.shape == r_eff.shape
+    for i, x in enumerate(r_eff.tolist()):
         scalar_parts = (
             fn.partials(x, 1.0) if mode == "analytic" else verify._fd_partials(fn, x)[1]
         )
@@ -371,28 +394,22 @@ def test_grid_pass_matches_per_point_calls(problem, mode, monkeypatch):
         assert gen[i] == pytest.approx(expected, rel=0, abs=8 * np.finfo(float).eps)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    alpha0=st.floats(1e-12, 1e6),
-    kink=st.one_of(st.floats(1.0, 1.001), st.floats(1.0, 1e3)),
-    offsets=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
-)
-def test_points_on_kinks_move_clear_of_them(alpha0, kink, offsets):
-    # Points within three stencil widths of the kink and of the grid's lower edge:
-    # one shift clears the kink, and every stencil stays at or above alpha0.
-    edge = alpha0 * (1.0 + 10.0 * verify.FD_REL_STEP)
-    level = alpha0 * kink
+@pytest.mark.parametrize("problem", ["solvency", "injection"])
+def test_fd_rows_skip_ratios_within_a_stencil_of_the_kink_and_of_alpha0(problem, monkeypatch):
+    # Grid ratios placed within one stencil half-width of the barrier and of alpha0 are
+    # not differenced; those 1.5 half-widths or more off either are.
+    p, level, fn = optimal_case(problem)
     width = 2.0 * verify.FD_REL_STEP  # the stencil's half-width relative to r
-    r = np.maximum([c * (1.0 + width * o) for c in (level, edge) for o in offsets], edge)
-    moved = verify._clear_of_kink(r, level, edge)
-    lo, hi = verify._stencil_span(moved)
-    assert ((hi < level) | (level < lo)).all()
-    assert (moved >= edge).all() and (lo >= alpha0).all()
-    lo0, hi0 = verify._stencil_span(r)
-    straddled = (lo0 <= level) & (level <= hi0)
-    assert (moved[~straddled] == r[~straddled]).all()
-    assert (abs(moved - r) <= 1e-4 * r).all()
-    assert (r[moved < level] < level).all()  # only a move up, off the edge, switches side
+    near = [level * (1.0 + width * o) for o in (-0.9, -0.5, 0.0, 0.5, 0.9)]
+    near += [p.alpha0 * (1.0 + width * o) for o in (0.0, 0.5, 0.9)]
+    far = [level * (1.0 + width * o) for o in (-3.0, -1.5, 1.5, 3.0)]
+    far += [p.alpha0 * (1.0 + width * o) for o in (1.5, 3.0)]
+    grid = np.array(sorted(near + far))
+    monkeypatch.setattr(verify.np, "geomspace", lambda *args: grid)
+    r, _, r_eff, parts, _ = verify._grid_pass(fn, p, level, "finite-difference")
+    assert r is grid
+    assert r_eff.tolist() == sorted(far)
+    assert parts.shape == (len(far), 5)
 
 
 def test_fd_barrier_overrides_just_above_alpha0():
