@@ -125,7 +125,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimSummary:
-    """Cross-path statistics; variances are unbiased (ddof = 1)."""
+    """Cross-path statistics; variances are unbiased (ddof = 1).  Under antithetic
+    pairing each standard error comes from the n/2 pair means, the independent draws."""
 
     n_paths: int
     mean_pv_dividends: float
@@ -163,10 +164,16 @@ class PairedComparison:
     se_diff: float
 
 
-def _stat_block(values: np.ndarray) -> tuple[float, float, float, float]:
-    mean = float(np.mean(values))
-    var = float(np.var(values, ddof=1)) if values.size > 1 else 0.0
-    se = math.sqrt(var / values.size)
+def _variance(values: np.ndarray) -> float:
+    return float(np.var(values, ddof=1)) if values.size > 1 else 0.0
+
+
+def _stat_block(values: np.ndarray, antithetic: bool) -> tuple[float, float, float, float]:
+    """Mean, per-path variance, standard error of the mean and CV of ``values``;
+    paths 2j and 2j+1 of an antithetic run are one draw, so its SE is the pair means'."""
+    mean, var = float(np.mean(values)), _variance(values)
+    draws = 0.5 * (values[0::2] + values[1::2]) if antithetic else values
+    se = math.sqrt(_variance(draws) / draws.size)
     return mean, var, se, math.sqrt(var) / mean if mean > 0.0 else math.nan
 
 
@@ -177,18 +184,23 @@ def summarize(
     censored: np.ndarray,
     kappa: float | None,
     horizon_T: float,
+    antithetic: bool = False,
 ) -> SimSummary:
     """Summarise the four per-path arrays of a run.
 
     Censored paths enter the ruin-time mean at ``horizon_T``.  The
     coefficient of variation of a sample with nonpositive mean is reported
     as NaN rather than raising.  Net value is dividends minus ``kappa`` times
-    injections; ``kappa`` may be None when every injection is zero.
+    injections; ``kappa`` may be None when every injection is zero.  An
+    ``antithetic`` run pairs paths 2j and 2j+1, and its standard errors are
+    those of the pair means.
     """
     pvd = np.asarray(pv_dividends, dtype=float)
     if pvd.size == 0:
         raise ConfigError("cannot summarise zero paths")
     n = pvd.size
+    if antithetic and n % 2 != 0:
+        raise ConfigError("antithetic pairing needs an even n_paths")
     pvi = np.asarray(pv_injections, dtype=float)
     ruin_arr = np.asarray(ruin_time, dtype=float)
     censored_arr = np.asarray(censored, dtype=bool)
@@ -203,8 +215,8 @@ def summarize(
         net = pvd
     ruin = np.where(censored_arr, float(horizon_T), ruin_arr)
 
-    mean_d, var_d, se_d, cv_d = _stat_block(pvd)
-    mean_n, var_n, se_n, cv_n = _stat_block(net)
+    mean_d, var_d, se_d, cv_d = _stat_block(pvd, antithetic)
+    mean_n, var_n, se_n, cv_n = _stat_block(net, antithetic)
     return SimSummary(
         n_paths=n,
         mean_pv_dividends=mean_d,
@@ -470,7 +482,7 @@ def simulate_paths(cfg: SimConfig, policy: Policy, p: ModelParams) -> SimResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             tiles = list(pool.map(_run_tile, *args))
     pvd, pvi, ruin_time, censored = (np.concatenate(col) for col in zip(*tiles))
-    summary = summarize(pvd, pvi, ruin_time, censored, p.kappa, cfg.horizon_T)
+    summary = summarize(pvd, pvi, ruin_time, censored, p.kappa, cfg.horizon_T, cfg.antithetic)
     return SimResult(
         config=cfg,
         pv_dividends=pvd,
@@ -489,12 +501,13 @@ def paired_compare(
     Streams depend only on (seed, path index), and a path alive at step k
     uses the k-th pair of normals of its own stream whatever the policy did
     before, so the two arms see identical shocks path by path for as long as
-    both are alive.
+    both are alive.  Under antithetic pairing ``se_diff`` is that of the pair
+    means of the differences.
     """
     result_a = simulate_paths(cfg, policy_a, p)
     result_b = simulate_paths(cfg, policy_b, p)
     diff = result_a.pv_dividends - result_b.pv_dividends
-    mean, _, se, _ = _stat_block(diff)
+    mean, _, se, _ = _stat_block(diff, cfg.antithetic)
     return PairedComparison(
         result_a=result_a,
         result_b=result_b,

@@ -16,7 +16,10 @@ The generator of the asset-liability diffusion acts on smooth f as
           + rho sigma_A sigma_L x1 x2 f_x1x2.
 
 The value is homogeneous of degree one, so every check sits on the ray
-x2 = 1: the grid is one of funding ratios r, and each x2 above is 1.
+x2 = 1: the grid is one of funding ratios r, and each x2 above is 1.  There
+V_x2 = V - r V_x1, V_x2x2 = r^2 V_x1x1 and V_x1x2 = -r V_x1x1, so every
+pasting row is the x1-slope or the x1-curvature at a ray, read from inside
+the band: exact in analytic mode, one-sided differences otherwise.
 Residuals of (A - delta)f are reported relative to the sum of the magnitudes
 of the individual terms, which is the natural scale for a sum that should
 cancel.  Finite-difference mode uses central 9-point stencils on the same
@@ -133,14 +136,16 @@ def _generator_terms(partials, r, p: ModelParams):
     )
 
 
-def _one_sided(fn, r: float, toward: float) -> tuple[float, float]:
-    """Second-order one-sided d/dx1 and d2/dx1^2 at (r, 1) from r, r - h and r - 2h,
-    stepping toward ``toward`` by FD_REL_STEP r capped at half the gap (none: NaN)."""
+def _ray(fn, r: float, toward: float, mode: str) -> tuple[float, float]:
+    """dV/dx1 and d2V/dx1^2 at (r, 1) from the side of ``toward``: the band formula (it
+    holds on both rays), or second-order one-sided differences from r, r - h and r - 2h,
+    h stepping toward ``toward`` by FD_REL_STEP r capped at half the gap (none: NaN)."""
+    if mode == "analytic":
+        d1, _, d11, _, _ = fn.partials(r, 1.0)
+        return d1, d11
     h = math.copysign(min(FD_REL_STEP * r, abs(r - toward) / 2), r - toward)
     f0, f1, f2 = fn.evaluate(r - np.array([0.0, 1.0, 2.0]) * h, 1.0)
-    d1 = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
-    d11 = (f0 - 2.0 * f1 + f2) / h / h
-    return d1, d11
+    return (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h), (f0 - 2.0 * f1 + f2) / h / h
 
 
 def _tolerances(mode: str) -> tuple[float, float]:
@@ -171,29 +176,6 @@ def _grid_pass(fn, p: ModelParams, level: float, mode: str):
     terms = (*_generator_terms(parts, r_eff, p), -p.delta * value_eff)
     gen = sum(terms) / np.maximum(sum(np.abs(t) for t in terms), 1e-300)
     return r, value, r_eff, np.column_stack(parts), gen
-
-
-def _pasting(fn, level: float, mode: str, mid_curvature=None) -> list[float]:
-    """Pasting violations at the payout barrier, band branch against the linear one.
-
-    Analytic mode compares both slopes, finite-difference mode the x1-slope
-    from below.  Given the mid-band second partials, the one-sided second
-    partials at the barrier (zero at the optimum) are compared too, each
-    normalised by its mid-band counterpart.
-    """
-    if mode == "analytic":
-        below = fn.partials(level, 1.0)
-        above_d2 = fn.value_at_barrier(1.0) - level
-        out = [abs(below[0] - 1.0), abs(below[1] - above_d2) / max(1.0, abs(above_d2))]
-        curvatures = below[2:]
-    else:
-        # One-sided from below: only the fd truncation term; a barrier at alpha0 fails on NaN.
-        d1b, d11b = _one_sided(fn, level, fn.alpha0)
-        out = [abs(d1b - 1.0)]
-        curvatures = (d11b,)
-    if mid_curvature is not None:
-        out += [abs(c) / max(abs(m), 1e-300) for c, m in zip(curvatures, mid_curvature)]
-    return out
 
 
 def _negativity(value: np.ndarray) -> np.ndarray:
@@ -245,7 +227,7 @@ def check_solvency_lemma(
     overridden to demonstrate that suboptimal barriers fail.  Conditions:
 
     1. nonnegative          -- H >= 0 on the whole grid
-    2. c1-pasting           -- one-sided slopes match across the barrier
+    2. c1-pasting           -- dH/dx1 = 1 at the barrier, read from below
     3. bounded-partials     -- first partials finite on the compact grid
     4. slope-at-least-one   -- dH/dx1 >= 1 wherever paying is allowed (r >= alpha1)
     5. generator-zero-band  -- (A - delta)H = 0 strictly inside (alpha0, barrier)
@@ -256,14 +238,14 @@ def check_solvency_lemma(
     level = constrained_barrier_beta1(p) if barrier is None else float(barrier)
     cf = closed_form_value(level, p)
     r, value, r_eff, parts, gen = _grid_pass(cf, p, level, mode)
-    pasting = _pasting(cf, level, mode)
+    d1_top = _ray(cf, level, p.alpha0, mode)[0]  # a barrier at alpha0 fails on NaN in fd mode
     pay = r_eff >= alpha1
     band = (p.alpha0 < r_eff) & (r_eff < level)
     above = r_eff > alpha1
     finite = np.isfinite(parts[:, :2]).all(axis=1)
     return _report("solvency", level, mode, p, [
         ("nonnegative", _negativity(value), r, TOL_INEQUALITY),
-        ("c1-pasting", pasting, [level] * len(pasting), tol_eq),
+        ("c1-pasting", [abs(d1_top - 1.0)], [level], tol_eq),
         ("bounded-partials", np.where(finite, 0.0, math.inf), r_eff, TOL_INEQUALITY),
         ("slope-at-least-one", np.maximum(0.0, 1.0 - parts[pay, 0]), r_eff[pay], tol_ineq),
         ("generator-zero-band", np.abs(gen[band]), r_eff[band], tol_eq),
@@ -280,8 +262,8 @@ def check_injection_lemma(
     The injection ray is pinned at gamma* = alpha0; ``barrier`` defaults to
     the optimal payout level.  Conditions:
 
-    1. c2-pasting     -- slopes and one-sided second partials match at the barrier,
-                         and the slope on the injection ray equals kappa
+    1. c2-pasting     -- dH/dx1 = 1 and d2H/dx1^2 = 0 (relative to mid-band) at the
+                         barrier from below, and dH/dx1 = kappa at alpha0 from above
     2. nonnegative    -- H >= 0 on the whole grid
     3. generator-sign -- (A - delta)H <= 0 everywhere
     4. slope-corridor -- 1 <= dH/dx1 <= kappa
@@ -292,18 +274,14 @@ def check_injection_lemma(
     level = optimal_barrier_beta2(p) if barrier is None else float(barrier)
     dv = double_barrier_value(level, p.alpha0, p)
     r, value, r_eff, parts, gen = _grid_pass(dv, p, level, mode)
-    # The x2 and mixed curvatures are tied to the x1 curvature by homogeneity,
-    # so each is normalised by the matching mid-band curvature magnitude.
-    mid_curvature = dv.partials(0.5 * (p.alpha0 + level), 1.0)[2:]
-    if mode == "analytic":
-        d1_floor = dv.partials(p.alpha0, 1.0)[0]
-    else:
-        # The stencil steps up from alpha0 and stays below the barrier's kink.
-        d1_floor = _one_sided(dv, p.alpha0, level)[0]
-    pasting = _pasting(dv, level, mode, mid_curvature) + [abs(d1_floor - kappa) / kappa]
+    d1_top, d11_top = _ray(dv, level, p.alpha0, mode)
+    d1_floor = _ray(dv, p.alpha0, level, mode)[0]  # the fd stencil stays below the kink
+    d11_mid = dv.partials(0.5 * (p.alpha0 + level), 1.0)[2]
+    pasting = [abs(d1_top - 1.0), abs(d11_top) / max(abs(d11_mid), 1e-300),
+               abs(d1_floor - kappa) / kappa]
     d1 = parts[:, 0]
     return _report("injection", level, mode, p, [
-        ("c2-pasting", pasting, [level] * (len(pasting) - 1) + [p.alpha0], tol_eq),
+        ("c2-pasting", pasting, [level, level, p.alpha0], tol_eq),
         ("nonnegative", _negativity(value), r, TOL_INEQUALITY),
         ("generator-sign", np.maximum(0.0, gen), r_eff, tol_ineq),
         ("slope-corridor", np.maximum(np.maximum(0.0, 1.0 - d1), d1 - kappa), r_eff, tol_ineq),

@@ -32,7 +32,7 @@ def test_test_only_functions_are_gone():
         "FD_MIN_STEP", "VolatilityNotPositive", "CorrelationOutOfRange", "ProfitabilityViolated",
         "DiscountTooLow", "RuinLevelNotPositive", "SolvencyLevelTooLow", "InjectionCostTooLow",
         "BracketFailure", "MonotonicityError", "EmptyInput", "GridSpec", "_CHUNK_BUDGET",
-        "_steps", "_clear_of_kink",
+        "_steps", "_clear_of_kink", "_pasting", "_one_sided",
     ):
         assert name not in fundiv.__all__
         assert not hasattr(fundiv, name)

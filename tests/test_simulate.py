@@ -4,6 +4,7 @@ antithetic pairing, control ordering, and the summary statistics."""
 import io
 import math
 import re
+import statistics
 import tracemalloc
 from dataclasses import replace
 
@@ -616,6 +617,63 @@ def test_summarize_single_path():
     assert s.var_pv_dividends == 0.0
     assert s.se_pv_dividends == 0.0
     assert s.cv_pv_dividends == 0.0
+
+
+def pair_mean_se(values):
+    """Standard error of the mean from the pair means of paths (2j, 2j+1), by hand."""
+    pairs = [(a + b) / 2.0 for a, b in zip(values[0::2], values[1::2])]
+    return statistics.stdev(pairs) / math.sqrt(len(pairs))
+
+
+def test_antithetic_standard_errors_come_from_the_pair_means():
+    # Paths 2j and 2j+1 of an antithetic run are one draw: the pair means are the
+    # independent samples.  The per-path variance and CV keep their meaning.
+    pvd = np.array([1.0, 3.0, 2.0, 2.5, 6.0, 1.0])
+    pvi = np.array([0.0, 0.5, 0.0, 0.0, 1.0, 0.0])
+    args = (pvd, pvi, np.ones(6), np.ones(6, dtype=bool), 2.0, 1.0)
+    plain, paired = summarize(*args), summarize(*args, antithetic=True)
+    assert paired.se_pv_dividends == pytest.approx(pair_mean_se(pvd.tolist()), rel=1e-14)
+    assert paired.se_net_value == pytest.approx(pair_mean_se((pvd - 2.0 * pvi).tolist()), rel=1e-14)
+    assert paired.se_pv_dividends != plain.se_pv_dividends
+    same = ("mean_pv_dividends", "var_pv_dividends", "cv_pv_dividends", "mean_net_value",
+            "var_net_value", "cv_net_value")
+    assert [getattr(paired, f) for f in same] == [getattr(plain, f) for f in same]
+    with pytest.raises(ConfigError, match="^antithetic pairing needs an even n_paths$"):
+        summarize(pvd[:5], pvi[:5], np.ones(5), np.ones(5, dtype=bool), 2.0, 1.0, antithetic=True)
+
+    p = make_params()
+    cfg = replace(BASE_CFG, antithetic=True)
+    pc = paired_compare(cfg, UnconstrainedBarrier(beta=1.5), UnconstrainedBarrier(beta=2.5), p)
+    assert pc.se_diff == pytest.approx(pair_mean_se(pc.diff_pv_dividends.tolist()), rel=1e-14)
+    s = pc.result_a.summary
+    assert s.se_pv_dividends == pytest.approx(pair_mean_se(pc.result_a.pv_dividends.tolist()))
+    assert s.var_pv_dividends == pytest.approx(statistics.variance(pc.result_a.pv_dividends))
+
+
+#: Seeds of the calibration runs, fixed before the first run.
+CALIBRATION_SEEDS = range(1, 41)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("policy", ["ruin-stopped", "double-barrier"])
+def test_reported_standard_errors_match_the_spread_of_seed_means(policy, antithetic):
+    # The sd of 40 seed means estimates the true SE of one run to a relative sd of
+    # about 1 / sqrt(2 * 39) = 0.11, so with a right reported SE the ratio sd / SE lies
+    # within three such sds of one, for each summary field.
+    if policy == "ruin-stopped":
+        p, x1_0 = make_params(), 2.0
+        pol = UnconstrainedBarrier(beta=optimal_barrier_beta0(p))
+    else:
+        p, x1_0 = make_params(kappa=1.05), 1.5
+        pol = DoubleBarrier(beta=optimal_barrier_beta2(p), gamma=p.alpha0)
+    cfg = SimConfig(x1_0=x1_0, x2_0=1.0, dt=1.0 / 12.0, horizon_T=10.0, n_paths=500, seed=0,
+                    antithetic=antithetic)
+    runs = [simulate_paths(replace(cfg, seed=seed), pol, p).summary for seed in CALIBRATION_SEEDS]
+    band = 3.0 / math.sqrt(2.0 * (len(CALIBRATION_SEEDS) - 1))
+    for field in ("pv_dividends", "net_value"):
+        spread = statistics.stdev(getattr(s, f"mean_{field}") for s in runs)
+        reported = statistics.fmean(getattr(s, f"se_{field}") for s in runs)
+        assert abs(spread / reported - 1.0) <= band, (field, spread / reported)
 
 
 def test_paths_csv_round_trips():

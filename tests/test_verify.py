@@ -427,17 +427,43 @@ def test_fd_barrier_overrides_just_above_alpha0():
         assert all(math.isfinite(c.worst_violation) for c in report.condition_results)
 
 
-def test_fd_floor_slope_stencil_stays_below_the_barrier(monkeypatch):
-    # The floor slope's one-sided stencil alpha0, alpha0 + h, alpha0 + 2h must not reach the
+class Recorder:
+    """A value whose ``evaluate`` records every ratio it is asked for."""
+
+    def __init__(self, fn):
+        self.fn, self.ratios = fn, []
+
+    def evaluate(self, x1, x2):
+        self.ratios += np.ravel(x1).tolist()
+        return self.fn.evaluate(x1, x2)
+
+
+def test_fd_floor_slope_stencil_stays_below_the_barrier():
+    # The floor slope's one-sided stencil alpha0, alpha0 + h, alpha0 + 2h must not pass the
     # payout kink at the barrier, so for barriers just above alpha0 its step is capped at half
-    # the gap.  With the barrier rows left out, c2-pasting's worst entry is the floor row.
-    monkeypatch.setattr(verify, "_pasting", lambda *args: [])
+    # the gap, and the slope it reads is still kappa.
     p = injection_params()
     for rel in (1e-5, 1.5e-5):
-        report = check_injection_lemma(p, barrier=p.alpha0 * (1.0 + rel), mode="finite-difference")
-        floor = condition(report, "c2-pasting")
-        assert floor.location == p.alpha0
-        assert floor.worst_violation < verify.TOL_EQUALITY_FD
+        barrier = p.alpha0 * (1.0 + rel)
+        fn = Recorder(double_barrier_value(barrier, p.alpha0, p))
+        d1_floor, _ = verify._ray(fn, p.alpha0, barrier, "finite-difference")
+        assert min(fn.ratios) == p.alpha0 and max(fn.ratios) <= barrier
+        assert abs(d1_floor - p.kappa) / p.kappa < verify.TOL_EQUALITY_FD
+
+
+@pytest.mark.parametrize("factor", [1.1, 0.9])
+def test_both_modes_read_one_pasting_quantity(factor):
+    # Each c2-pasting row is the x1-slope or x1-curvature at a ray in both modes, so a
+    # detuned barrier's worst pasting violation reads the same up to the stencil's error.
+    p = injection_params()
+    barrier = factor * optimal_barrier_beta2(p)
+    analytic, fd = (
+        condition(check_injection_lemma(p, barrier=barrier, mode=mode), "c2-pasting")
+        for mode in ("analytic", "finite-difference")
+    )
+    assert not analytic.passed and not fd.passed
+    assert analytic.location == fd.location
+    assert analytic.worst_violation == pytest.approx(fd.worst_violation, rel=1e-3)
 
 
 @pytest.mark.parametrize("alpha0", [1e-300, 1e-160, 1e-12, 1e-6, 1e160, 1e300])
