@@ -153,6 +153,26 @@ class ClosedFormValue:
         z1, z2 = self.exponents.zeta1, self.exponents.zeta2
         return x1, x2, rc, slope, self.A * np.exp(z1 * lu), self.B * np.exp(z2 * lu)
 
+    def band_terms(self, r: float) -> tuple[float, float]:
+        """A u^zeta1 and B u^zeta2 at one band ratio r >= gamma, in Python floats; a u^zeta2
+        past float range reads inf, as in ``evaluate``."""
+        u = r / self.gamma
+        try:
+            t2 = self.B * _rpow(u, self.exponents.zeta2)
+        except OverflowError:
+            t2 = self.B * math.inf
+        return self.A * _rpow(u, self.exponents.zeta1), t2  # u^zeta1 <= 1
+
+    def band_root(self, k1: float, k2: float) -> float | None:
+        """The ratio strictly inside (gamma, beta) where k1 A u^zeta1 + k2 B u^zeta2 changes
+        sign, or None: it changes sign once at most, where u^(zeta2 - zeta1) = -k1 A / (k2 B)."""
+        x, y = k1 * self.A, k2 * self.B
+        if not (x < 0.0 < y or y < 0.0 < x):
+            return None
+        z1, z2 = self.exponents.zeta1, self.exponents.zeta2
+        lu = (math.log(abs(x)) - math.log(abs(y))) / (z2 - z1)
+        return self.gamma * math.exp(lu) if 0.0 < lu < math.log(self.beta / self.gamma) else None
+
     def value_at_barrier(self, x2: float = 1.0) -> float:
         """Value on the payout ray, V(beta * x2, x2)."""
         if not x2 > 0.0:

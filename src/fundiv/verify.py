@@ -1,12 +1,11 @@
-"""Grid checks of the verification-lemma conditions behind each closed form.
+"""Checks of the verification-lemma conditions behind each closed form.
 
 Each candidate value function must satisfy a short list of analytic
 conditions (nonnegativity, pasting smoothness at the barrier, slope bounds,
-and the sign of the discounted generator) for the verification argument to
-go through.  This module evaluates those conditions on a dense logarithmic
-grid of funding ratios, in one array pass over the whole grid, and reports
-the worst violation per condition, so a correct barrier passes at rounding
-level while a perturbed one fails loudly.  A NaN anywhere fails its
+and the sign of the discounted generator) at every funding ratio r >= alpha0
+for the verification argument to go through.  A report gives the worst
+violation per condition and where it occurs, so a correct barrier passes at
+rounding level while a perturbed one fails loudly.  A NaN anywhere fails its
 condition and is reported where it first occurs.
 
 The generator of the asset-liability diffusion acts on smooth f as
@@ -16,25 +15,45 @@ The generator of the asset-liability diffusion acts on smooth f as
           + rho sigma_A sigma_L x1 x2 f_x1x2.
 
 The value is homogeneous of degree one, so every check sits on the ray
-x2 = 1: the grid is one of funding ratios r, and each x2 above is 1.  There
-V_x2 = V - r V_x1, V_x2x2 = r^2 V_x1x1 and V_x1x2 = -r V_x1x1, so every
-pasting row is the x1-slope or the x1-curvature at a ray, read from inside
-the band: exact in analytic mode, one-sided differences otherwise.
-Residuals of (A - delta)f are reported relative to the sum of the magnitudes
-of the individual terms, which is the natural scale for a sum that should
-cancel.  Finite-difference mode uses central 9-point stencils on the same
-arrays, with steps 1e-5 relative to each coordinate, and evaluates all nine
-points of every stencil in one call; a grid point whose stencil would reach
-below alpha0 or straddle the payout barrier is skipped rather than differenced
-across the edge or the kink.  A one-sided stencil on one ray steps toward the
-other by the same relative step, capped at half the gap.  Every difference
-divides by one step at a time: a squared step can leave float range.
+x2 = 1, at funding ratios r, and each x2 above is 1.  There V_x2 = V - r V_x1,
+V_x2x2 = r^2 V_x1x1 and V_x1x2 = -r V_x1x1, so every pasting row is the
+x1-slope or the x1-curvature at a ray, read from inside the band.  Residuals
+of (A - delta)f are reported relative to the sum of the magnitudes of the
+individual terms, which is the natural scale for a sum that should cancel.
+
+Analytic mode certifies each condition exactly on the whole half-line
+[alpha0, inf), from a few Python floats.  On the band [alpha0, beta] the
+value is A u^zeta1 + B u^zeta2 with u = r / alpha0, and its slope and
+curvature are two-power sums too.  A two-power sum a u^p + b u^q turns at
+most once, where u^(q - p) = -a p / (b q), so its extremes on an interval lie
+at the ends or there.  (A - delta) takes u^zeta to Q(zeta) u^zeta, Q the sum
+of the generator's raw terms on that power, so the band residual is
+A Q(zeta1) u^zeta1 + B Q(zeta2) u^zeta2 over the sum of its terms'
+magnitudes, each term a two-power sum of one sign change at most: between
+those sign changes it is a ratio of linear functions of u^(zeta2 - zeta1),
+so its extremes lie at the band ends or at them.  Above
+beta the value is linear, and its residual (mu_A - delta) r +
+(mu_L - delta)(V(beta) - beta) falls as r grows, over its terms' magnitudes
+too where it is positive, so its supremum is at beta.  Each row reports
+where its worst lies.
+
+Finite-difference mode checks the same conditions on a dense logarithmic
+grid of funding ratios [alpha0, 3 beta], in one array pass over the whole
+grid, with central 9-point stencils of steps 1e-5 relative to each
+coordinate, evaluating all nine points of every stencil in one call; a grid
+point whose stencil would reach below alpha0 or straddle the payout barrier
+is skipped rather than differenced across the edge or the kink.  Its pasting
+rows are one-sided differences from inside the band, whose step toward the
+other ray is the same relative step, capped at half the gap.  Every
+difference divides by one step at a time: a squared step can leave float
+range.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,7 +85,7 @@ MODES = {
 
 @dataclass(frozen=True)
 class ConditionResult:
-    """Worst violation of one lemma condition over the grid."""
+    """Worst violation of one lemma condition."""
 
     condition_id: str
     worst_violation: float
@@ -77,7 +96,8 @@ class ConditionResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of every condition of one lemma on the log grid [ratio_lo, 3 barrier]."""
+    """Outcome of every condition of one lemma: on [ratio_lo, inf) exactly (analytic mode)
+    or on the log grid [ratio_lo, 3 barrier] (finite-difference mode)."""
 
     problem: str
     barrier: float
@@ -87,7 +107,10 @@ class VerificationReport:
     passed: bool
 
     def to_text(self) -> str:
-        grid = f"[{_render(self.ratio_lo)}, {_render(3.0 * self.barrier)}] x {N_GRID} (log)"
+        if self.mode == "analytic":
+            grid = f"[{_render(self.ratio_lo)}, inf) (exact)"
+        else:
+            grid = f"[{_render(self.ratio_lo)}, {_render(3.0 * self.barrier)}] x {N_GRID} (log)"
         head = {"problem": self.problem, "barrier": self.barrier, "mode": self.mode, "grid": grid}
         conditions = "".join(
             f"{c.condition_id}: worst = {c.worst_violation:.6e} at r = {c.location:.9g} "
@@ -136,13 +159,10 @@ def _generator_terms(partials, r, p: ModelParams):
     )
 
 
-def _ray(fn, r: float, toward: float, mode: str) -> tuple[float, float]:
-    """dV/dx1 and d2V/dx1^2 at (r, 1) from the side of ``toward``: the band formula (it
-    holds on both rays), or second-order one-sided differences from r, r - h and r - 2h,
-    h stepping toward ``toward`` by FD_REL_STEP r capped at half the gap (none: NaN)."""
-    if mode == "analytic":
-        d1, _, d11, _, _ = fn.partials(r, 1.0)
-        return d1, d11
+def _ray(fn, r: float, toward: float) -> tuple[float, float]:
+    """dV/dx1 and d2V/dx1^2 at (r, 1) from the side of ``toward``: second-order one-sided
+    differences from r, r - h and r - 2h, h stepping toward ``toward`` by FD_REL_STEP r
+    capped at half the gap (none: NaN)."""
     h = math.copysign(min(FD_REL_STEP * r, abs(r - toward) / 2), r - toward)
     f0, f1, f2 = fn.evaluate(r - np.array([0.0, 1.0, 2.0]) * h, 1.0)
     return (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h), (f0 - 2.0 * f1 + f2) / h / h
@@ -155,24 +175,21 @@ def _tolerances(mode: str) -> tuple[float, float]:
     return MODES[mode]
 
 
-def _grid_pass(fn, p: ModelParams, level: float, mode: str):
+def _grid_pass(fn, p: ModelParams, level: float):
     """Evaluate ``fn`` at the ``N_GRID`` ratios of the lemma grid [alpha0, 3 level] at once.
 
     Returns arrays of the grid ratios r, the values H(r, 1), the ratios
-    r_eff where the partials were taken (all of r, or in fd mode those whose
-    stencil lies at or above alpha0 and on one side of the kink at ``level``),
-    the partials at r_eff (one row each) and (A - delta)H / scale at r_eff.
+    r_eff whose stencil lies at or above alpha0 and on one side of the kink
+    at ``level``, the central-difference partials at r_eff (one row each)
+    and (A - delta)H / scale at r_eff.
     """
     if not math.isfinite(3.0 * level):
         raise DomainError(f"the lemma grid [alpha0, 3 barrier] overflows at barrier = {level!r}")
     r = np.geomspace(p.alpha0, 3.0 * level, N_GRID)
     value = fn.evaluate(r, 1.0)
-    if mode == "analytic":
-        r_eff, value_eff, parts = r, value, fn.partials(r, 1.0)
-    else:
-        lo, hi = _stencil_span(r)
-        r_eff = r[(lo >= p.alpha0) & ((hi < level) | (level < lo))]
-        value_eff, parts = _fd_partials(fn, r_eff)
+    lo, hi = _stencil_span(r)
+    r_eff = r[(lo >= p.alpha0) & ((hi < level) | (level < lo))]
+    value_eff, parts = _fd_partials(fn, r_eff)
     terms = (*_generator_terms(parts, r_eff, p), -p.delta * value_eff)
     gen = sum(terms) / np.maximum(sum(np.abs(t) for t in terms), 1e-300)
     return r, value, r_eff, np.column_stack(parts), gen
@@ -182,31 +199,35 @@ def _negativity(value: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, -value) / np.maximum(1.0, np.abs(value))
 
 
+def _result(condition_id: str, worst: float, at: float, tolerance: float) -> ConditionResult:
+    worst += 0.0  # a zero worst is +0, never -0
+    return ConditionResult(condition_id, worst, at, tolerance, worst <= tolerance)
+
+
 def _worst(condition_id: str, violation, location, tolerance: float) -> ConditionResult:
-    """Largest violation of one condition and the first ratio where it occurs.
+    """Largest violation of one condition over a grid and the first ratio where it occurs.
 
     No point checked counts as a pass at 0; a NaN anywhere fails the
-    condition and is reported at the first NaN.  A zero worst is +0, never -0.
+    condition and is reported at the first NaN.
     """
     v = np.asarray(violation, dtype=float)
     if v.size == 0:
-        worst, at = 0.0, math.nan
-    else:
-        nans = np.flatnonzero(np.isnan(v))
-        i = int(nans[0]) if nans.size else int(np.argmax(v))
-        worst, at = float(v[i]) + 0.0, float(location[i])
-    return ConditionResult(
-        condition_id=condition_id,
-        worst_violation=worst,
-        location=at,
-        tolerance=tolerance,
-        passed=bool(worst <= tolerance),
-    )
+        return _result(condition_id, 0.0, math.nan, tolerance)
+    nans = np.flatnonzero(np.isnan(v))
+    i = int(nans[0]) if nans.size else int(np.argmax(v))
+    return _result(condition_id, float(v[i]), float(location[i]), tolerance)
 
 
-def _report(problem: str, level: float, mode: str, p: ModelParams, table) -> VerificationReport:
-    """Reduce a table of (condition id, violations, locations, tolerance) to a report."""
-    conditions = tuple(_worst(*row) for row in table)
+def _exact(condition_id: str, candidates, tolerance: float) -> ConditionResult:
+    """The worst of (violation, ratio) candidates, the first NaN or else the first largest;
+    no candidate counts as a pass at 0."""
+    nans = [c for c in candidates if c[0] != c[0]]
+    worst, at = nans[0] if nans else max(candidates, key=lambda c: c[0], default=(0.0, math.nan))
+    return _result(condition_id, worst, at, tolerance)
+
+
+def _report(problem: str, level: float, mode: str, p: ModelParams, rows) -> VerificationReport:
+    conditions = tuple(rows)
     return VerificationReport(
         problem=problem,
         barrier=level,
@@ -217,7 +238,128 @@ def _report(problem: str, level: float, mode: str, p: ModelParams, table) -> Ver
     )
 
 
+def _plus(x: float) -> float:
+    """max(0, x) that keeps a NaN."""
+    return 0.0 if x <= 0.0 else x
+
+
+def _finite(*xs: float) -> float:
+    """0 where every scalar is finite, else inf: the violation of a boundedness row."""
+    return 0.0 if all(map(math.isfinite, xs)) else math.inf
+
+
+class _Read(NamedTuple):
+    """The band formula at one ratio: value, x1-slope, x2-slope, x1-curvature, residual."""
+
+    r: float
+    value: float
+    d1: float
+    d2: float
+    d11: float
+    gen: float
+
+
+class _Band:
+    """Python-float reads of a barrier value on its band [gamma, beta].
+
+    On the band each generator term, and the value, is a two-power sum
+    coef(zeta1) A u^zeta1 + coef(zeta2) B u^zeta2, the coefficients read off
+    the raw generator terms of one power at (1, 1); their sum Q(zeta), not
+    one rebuilt from sigma~^2, shows how far the float roots are from solving
+    the generator equation.
+    """
+
+    def __init__(self, fn, p: ModelParams):
+        self.fn, self.z1, self.z2 = fn, fn.exponents.zeta1, fn.exponents.zeta2
+        self.c1, self.c2 = self.z1 * (self.z1 - 1.0), self.z2 * (self.z2 - 1.0)
+        self.coef1, self.coef2 = ((*_generator_terms((z, 1.0 - z, c, c, -c), 1.0, p), -p.delta)
+                                  for z, c in ((self.z1, self.c1), (self.z2, self.c2)))
+        self.q1, self.q2 = sum(self.coef1), sum(self.coef2)
+        #: Coefficient pairs of the distinct terms: the kinks of the residual's scale.
+        self.terms = ((self.z1, self.z2), (1.0 - self.z1, 1.0 - self.z2), (self.c1, self.c2),
+                      (1.0, 1.0))
+
+    def read(self, r: float) -> _Read:
+        z1, z2 = self.z1, self.z2
+        t1, t2 = self.fn.band_terms(r)
+        scale = sum(abs(a * t1 + b * t2) for a, b in zip(self.coef1, self.coef2))
+        return _Read(
+            r, t1 + t2, (z1 * t1 + z2 * t2) / r, (1.0 - z1) * t1 + (1.0 - z2) * t2,
+            (self.c1 * t1 + self.c2 * t2) / r / r,
+            (self.q1 * t1 + self.q2 * t2) / max(scale, 1e-300),
+        )
+
+    def sweep(self, lo: _Read, hi: _Read, *pairs: tuple[float, float]) -> list[_Read]:
+        """lo, in increasing order the ratios strictly between where k1 A u^zeta1 +
+        k2 B u^zeta2 changes sign for each (k1, k2) of ``pairs`` (once at most each), and
+        hi.  The slope turns where the pair (zeta1 (zeta1 - 1), zeta2 (zeta2 - 1)) changes
+        sign; the residual is a ratio of linear functions of u^(zeta2 - zeta1) between the
+        sign changes of its terms."""
+        roots = (self.fn.band_root(k1, k2) for k1, k2 in pairs)
+        inner = sorted(r for r in roots if r is not None and lo.r < r < hi.r)
+        return [lo, *map(self.read, inner), hi]
+
+
+def _linear(p: ModelParams, top: _Read, lo: float) -> tuple[float, float]:
+    """max(0, residual of (A - delta)) at lo >= beta on the linear branch, where the value
+    is r + c with c = V(beta) - beta: its numerator (mu_A - delta) r + (mu_L - delta) c
+    falls as r grows, and where it is positive so does its quotient by the terms'
+    magnitudes, so the supremum on [lo, inf) is at lo."""
+    c = top.value - top.r  # the x2-slope above the barrier
+    terms = (p.mu_A * lo, p.mu_L * c, -p.delta * (top.value + (lo - top.r)))
+    return _plus(sum(terms) / max(sum(map(abs, terms)), 1e-300)), lo
+
+
+def _nonnegative(floor: _Read, top: _Read) -> ConditionResult:
+    """H >= 0 on [alpha0, inf) from the band ends: the value rises with slope one above the
+    barrier, and it turns inside the band only where A and B share a sign, which it then
+    keeps, and at a minimum only where that sign is positive."""
+    candidates = [(_plus(-x.value) / max(1.0, abs(x.value)), x.r) for x in (floor, top)]
+    return _exact("nonnegative", candidates, TOL_INEQUALITY)
+
+
+def _solvency_exact(cf, p: ModelParams, alpha1: float, tol_eq: float, tol_ineq: float):
+    band, lo, hi = _Band(cf, p), p.alpha0, cf.beta
+    floor, top = band.read(lo), band.read(hi)
+    residual = [(x.gen, x.r) for x in band.sweep(floor, top, *band.terms)] if lo < hi else []
+    above = []  # the band part of r > alpha1
+    if alpha1 <= hi:
+        paying = band.read(alpha1)
+        slope = [(_plus(1.0 - x.d1), x.r) for x in band.sweep(paying, top, (band.c1, band.c2))]
+        if alpha1 < hi:
+            above = [(_plus(x.gen), x.r) for x in band.sweep(paying, top, *band.terms)]
+    else:  # the slope is one on the whole pay region above the barrier
+        slope = [(0.0, alpha1)]
+    return [
+        _nonnegative(floor, top),
+        _exact("c1-pasting", [(abs(top.d1 - 1.0), hi)], tol_eq),
+        _exact("bounded-partials", [(_finite(floor.d1, floor.d2), lo),
+                                    (_finite(top.d1, top.d2, top.value - hi), hi)], TOL_INEQUALITY),
+        _exact("slope-at-least-one", slope, tol_ineq),
+        _exact("generator-zero-band", [(abs(g), r) for g, r in residual], tol_eq),
+        _exact("generator-nonpositive-above", [*above, _linear(p, top, max(alpha1, hi))], tol_ineq),
+    ]
+
+
 @np.errstate(all="ignore")  # the report shows where values stop being finite
+def _solvency_grid(cf, p: ModelParams, alpha1: float, tol_eq: float, tol_ineq: float):
+    level = cf.beta
+    r, value, r_eff, parts, gen = _grid_pass(cf, p, level)
+    d1_top = _ray(cf, level, p.alpha0)[0]  # a barrier at alpha0 fails on NaN
+    pay = r_eff >= alpha1
+    band = (p.alpha0 < r_eff) & (r_eff < level)
+    above = r_eff > alpha1
+    finite = np.isfinite(parts[:, :2]).all(axis=1)
+    return [
+        _worst("nonnegative", _negativity(value), r, TOL_INEQUALITY),
+        _worst("c1-pasting", [abs(d1_top - 1.0)], [level], tol_eq),
+        _worst("bounded-partials", np.where(finite, 0.0, math.inf), r_eff, TOL_INEQUALITY),
+        _worst("slope-at-least-one", np.maximum(0.0, 1.0 - parts[pay, 0]), r_eff[pay], tol_ineq),
+        _worst("generator-zero-band", np.abs(gen[band]), r_eff[band], tol_eq),
+        _worst("generator-nonpositive-above", np.maximum(0.0, gen[above]), r_eff[above], tol_ineq),
+    ]
+
+
 def check_solvency_lemma(
     p: ModelParams, *, barrier: float | None = None, mode: str = "analytic"
 ) -> VerificationReport:
@@ -226,9 +368,9 @@ def check_solvency_lemma(
     ``barrier`` defaults to the optimal constrained level and may be
     overridden to demonstrate that suboptimal barriers fail.  Conditions:
 
-    1. nonnegative          -- H >= 0 on the whole grid
+    1. nonnegative          -- H >= 0 for every r >= alpha0
     2. c1-pasting           -- dH/dx1 = 1 at the barrier, read from below
-    3. bounded-partials     -- first partials finite on the compact grid
+    3. bounded-partials     -- first partials finite
     4. slope-at-least-one   -- dH/dx1 >= 1 wherever paying is allowed (r >= alpha1)
     5. generator-zero-band  -- (A - delta)H = 0 strictly inside (alpha0, barrier)
     6. generator-nonpositive-above -- (A - delta)H <= 0 for r > alpha1
@@ -236,24 +378,47 @@ def check_solvency_lemma(
     tol_eq, tol_ineq = _tolerances(mode)
     alpha1 = require_alpha1(p)
     level = constrained_barrier_beta1(p) if barrier is None else float(barrier)
-    cf = closed_form_value(level, p)
-    r, value, r_eff, parts, gen = _grid_pass(cf, p, level, mode)
-    d1_top = _ray(cf, level, p.alpha0, mode)[0]  # a barrier at alpha0 fails on NaN in fd mode
-    pay = r_eff >= alpha1
-    band = (p.alpha0 < r_eff) & (r_eff < level)
-    above = r_eff > alpha1
-    finite = np.isfinite(parts[:, :2]).all(axis=1)
-    return _report("solvency", level, mode, p, [
-        ("nonnegative", _negativity(value), r, TOL_INEQUALITY),
-        ("c1-pasting", [abs(d1_top - 1.0)], [level], tol_eq),
-        ("bounded-partials", np.where(finite, 0.0, math.inf), r_eff, TOL_INEQUALITY),
-        ("slope-at-least-one", np.maximum(0.0, 1.0 - parts[pay, 0]), r_eff[pay], tol_ineq),
-        ("generator-zero-band", np.abs(gen[band]), r_eff[band], tol_eq),
-        ("generator-nonpositive-above", np.maximum(0.0, gen[above]), r_eff[above], tol_ineq),
-    ])
+    rows = _solvency_exact if mode == "analytic" else _solvency_grid
+    conditions = rows(closed_form_value(level, p), p, alpha1, tol_eq, tol_ineq)
+    return _report("solvency", level, mode, p, conditions)
+
+
+def _injection_exact(dv, p: ModelParams, kappa: float, tol_eq: float, tol_ineq: float):
+    band, lo, hi = _Band(dv, p), p.alpha0, dv.beta
+    floor, top, mid = band.read(lo), band.read(hi), band.read(0.5 * (lo + hi))
+    pasting = [(abs(top.d1 - 1.0), hi), (abs(top.d11) / max(abs(mid.d11), 1e-300), hi),
+               (abs(floor.d1 - kappa) / kappa, lo)]
+    residual = [(_plus(x.gen), x.r) for x in band.sweep(floor, top, *band.terms)]
+    return [
+        _exact("c2-pasting", pasting, tol_eq),
+        _nonnegative(floor, top),
+        _exact("generator-sign", [*residual, _linear(p, top, hi)], tol_ineq),
+        _exact("slope-corridor", [(_plus(max(1.0 - x.d1, x.d1 - kappa)), x.r)
+                                  for x in band.sweep(floor, top, (band.c1, band.c2))], tol_ineq),
+        _exact("bounded-dx2", [(_finite(floor.d2), lo), (_finite(top.d2, top.value - hi), hi)],
+               TOL_INEQUALITY),
+    ]
 
 
 @np.errstate(all="ignore")
+def _injection_grid(dv, p: ModelParams, kappa: float, tol_eq: float, tol_ineq: float):
+    level = dv.beta
+    r, value, r_eff, parts, gen = _grid_pass(dv, p, level)
+    d1_top, d11_top = _ray(dv, level, p.alpha0)
+    d1_floor = _ray(dv, p.alpha0, level)[0]  # the stencil stays below the kink
+    d11_mid = _ray(dv, 0.5 * (p.alpha0 + level), level)[1]
+    pasting = [abs(d1_top - 1.0), abs(d11_top) / max(abs(d11_mid), 1e-300),
+               abs(d1_floor - kappa) / kappa]
+    d1 = parts[:, 0]
+    return [
+        _worst("c2-pasting", pasting, [level, level, p.alpha0], tol_eq),
+        _worst("nonnegative", _negativity(value), r, TOL_INEQUALITY),
+        _worst("generator-sign", np.maximum(0.0, gen), r_eff, tol_ineq),
+        _worst("slope-corridor", np.maximum(np.maximum(0.0, 1.0 - d1), d1 - kappa), r_eff, tol_ineq),
+        _worst("bounded-dx2", np.where(np.isfinite(parts[:, 1]), 0.0, math.inf), r_eff, TOL_INEQUALITY),
+    ]
+
+
 def check_injection_lemma(
     p: ModelParams, *, barrier: float | None = None, mode: str = "analytic"
 ) -> VerificationReport:
@@ -264,29 +429,17 @@ def check_injection_lemma(
 
     1. c2-pasting     -- dH/dx1 = 1 and d2H/dx1^2 = 0 (relative to mid-band) at the
                          barrier from below, and dH/dx1 = kappa at alpha0 from above
-    2. nonnegative    -- H >= 0 on the whole grid
+    2. nonnegative    -- H >= 0 for every r >= alpha0
     3. generator-sign -- (A - delta)H <= 0 everywhere
     4. slope-corridor -- 1 <= dH/dx1 <= kappa
-    5. bounded-dx2    -- the x2-partial is finite on the compact grid
+    5. bounded-dx2    -- the x2-partial is finite
     """
     tol_eq, tol_ineq = _tolerances(mode)
     kappa = require_kappa(p)
     level = optimal_barrier_beta2(p) if barrier is None else float(barrier)
-    dv = double_barrier_value(level, p.alpha0, p)
-    r, value, r_eff, parts, gen = _grid_pass(dv, p, level, mode)
-    d1_top, d11_top = _ray(dv, level, p.alpha0, mode)
-    d1_floor = _ray(dv, p.alpha0, level, mode)[0]  # the fd stencil stays below the kink
-    d11_mid = dv.partials(0.5 * (p.alpha0 + level), 1.0)[2]
-    pasting = [abs(d1_top - 1.0), abs(d11_top) / max(abs(d11_mid), 1e-300),
-               abs(d1_floor - kappa) / kappa]
-    d1 = parts[:, 0]
-    return _report("injection", level, mode, p, [
-        ("c2-pasting", pasting, [level, level, p.alpha0], tol_eq),
-        ("nonnegative", _negativity(value), r, TOL_INEQUALITY),
-        ("generator-sign", np.maximum(0.0, gen), r_eff, tol_ineq),
-        ("slope-corridor", np.maximum(np.maximum(0.0, 1.0 - d1), d1 - kappa), r_eff, tol_ineq),
-        ("bounded-dx2", np.where(np.isfinite(parts[:, 1]), 0.0, math.inf), r_eff, TOL_INEQUALITY),
-    ])
+    rows = _injection_exact if mode == "analytic" else _injection_grid
+    conditions = rows(double_barrier_value(level, p.alpha0, p), p, kappa, tol_eq, tol_ineq)
+    return _report("injection", level, mode, p, conditions)
 
 
 def check_smooth_fit(p: ModelParams, problem: str) -> float | None:

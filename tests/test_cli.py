@@ -468,11 +468,12 @@ SIM_RUN = ("--x1_0", "2.0", "--x2_0", "1.0", "--dt", "0.25", "--horizon_T", "1.0
 def test_double_barrier_at_infinity_exits_3(capsys, p1_config, argv):
     # The name predates band weights built from powers no larger than one: at
     # beta = inf they are finite, so simulate and value read the never-pay value,
-    # and verify stops at its lemma grid, as for the ruin-stopped problem.
+    # and verify's exact check reads the band formula at r = inf as NaN and fails.
     rc, out, err = run_cli(capsys, argv[0], "--config", p1_config, "--kappa", "1.05", *argv[1:])
     if argv[0] == "verify":
-        assert (rc, out) == (2, "")
-        assert err == "error: the lemma grid [alpha0, 3 barrier] overflows at barrier = inf\n"
+        assert (rc, err) == (2, "")
+        assert "c2-pasting: worst = nan at r = inf (tol = 1.0e-08) FAIL" in out.splitlines()
+        assert out.endswith("passed = false\n")
         return
     assert (rc, err) == (0, "")
     key = "closed_form_value" if argv[0] == "simulate" else "value"
@@ -748,13 +749,17 @@ def test_verify_overflowing_barrier_exits_2_with_a_report(capsys, p1_config):
 @pytest.mark.parametrize("barrier", ["inf", "1e308"])
 def test_verify_lemma_grid_past_float_range_exits_2_naming_the_barrier(capsys, p1_config,
                                                                         barrier):
-    rc, out, err = run_cli(
-        capsys, "verify", "--config", p1_config, "--alpha1", "1.2",
-        "--problem", "solvency", "--barrier-override", barrier,
-    )
+    # Only the finite-difference check has a grid; the exact one reports the barrier failed.
+    argv = ("verify", "--config", p1_config, "--alpha1", "1.2", "--problem", "solvency",
+            "--barrier-override", barrier)
+    rc, out, err = run_cli(capsys, *argv, "--mode", "finite-difference")
     assert (rc, out) == (2, "")
     assert err == ("error: the lemma grid [alpha0, 3 barrier] overflows at barrier = "
                    f"{float(barrier)!r}\n")
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, err) == (2, "")
+    assert "grid = [1, inf) (exact)" in out.splitlines()
+    assert out.endswith("passed = false\n")
 
 
 def test_verify_both_problems_pass(capsys, p1_config):

@@ -655,11 +655,12 @@ CALIBRATION_SEEDS = range(1, 41)
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
-@pytest.mark.parametrize("policy", ["ruin-stopped", "double-barrier"])
+@pytest.mark.parametrize("policy", ["ruin-stopped", "double-barrier", "paired"])
 def test_reported_standard_errors_match_the_spread_of_seed_means(policy, antithetic):
     # The sd of 40 seed means estimates the true SE of one run to a relative sd of
     # about 1 / sqrt(2 * 39) = 0.11, so with a right reported SE the ratio sd / SE lies
-    # within three such sds of one, for each summary field.
+    # within three such sds of one, for each summary field.  A paired comparison (the
+    # optimal double barrier against one 25% higher) is judged on mean_diff and se_diff.
     if policy == "ruin-stopped":
         p, x1_0 = make_params(), 2.0
         pol = UnconstrainedBarrier(beta=optimal_barrier_beta0(p))
@@ -668,12 +669,18 @@ def test_reported_standard_errors_match_the_spread_of_seed_means(policy, antithe
         pol = DoubleBarrier(beta=optimal_barrier_beta2(p), gamma=p.alpha0)
     cfg = SimConfig(x1_0=x1_0, x2_0=1.0, dt=1.0 / 12.0, horizon_T=10.0, n_paths=500, seed=0,
                     antithetic=antithetic)
-    runs = [simulate_paths(replace(cfg, seed=seed), pol, p).summary for seed in CALIBRATION_SEEDS]
+    if policy == "paired":
+        detuned = DoubleBarrier(beta=1.25 * pol.beta, gamma=p.alpha0)
+        runs = [paired_compare(replace(cfg, seed=s), pol, detuned, p) for s in CALIBRATION_SEEDS]
+        fields = [("mean_diff", "se_diff")]
+    else:
+        runs = [simulate_paths(replace(cfg, seed=s), pol, p).summary for s in CALIBRATION_SEEDS]
+        fields = [(f"mean_{f}", f"se_{f}") for f in ("pv_dividends", "net_value")]
     band = 3.0 / math.sqrt(2.0 * (len(CALIBRATION_SEEDS) - 1))
-    for field in ("pv_dividends", "net_value"):
-        spread = statistics.stdev(getattr(s, f"mean_{field}") for s in runs)
-        reported = statistics.fmean(getattr(s, f"se_{field}") for s in runs)
-        assert abs(spread / reported - 1.0) <= band, (field, spread / reported)
+    for mean, se in fields:
+        spread = statistics.stdev(getattr(s, mean) for s in runs)
+        reported = statistics.fmean(getattr(s, se) for s in runs)
+        assert abs(spread / reported - 1.0) <= band, (mean, spread / reported)
 
 
 def test_paths_csv_round_trips():

@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from fundiv import (
+    ClosedFormValue,
     DomainError,
     MissingParameter,
+    breakeven_kappa,
     check_injection_lemma,
     check_smooth_fit,
     check_solvency_lemma,
     closed_form_value,
     double_barrier_value,
+    exponents,
     optimal_barrier_beta0,
     optimal_barrier_beta2,
     verify,
@@ -302,15 +305,17 @@ def test_report_to_text_shape():
 
 
 def test_nan_anywhere_fails_its_condition():
-    row = verify._worst("cond", [0.0, math.nan, 0.0], [1.0, 2.0, 3.0], 1e-10)
-    assert math.isnan(row.worst_violation)
-    assert row.location == 2.0
-    assert not row.passed
-    report = verify._report("solvency", 3.0, "analytic", make_params(), [
-        ("cond", [0.0, math.nan, 0.0], [1.0, 2.0, 3.0], 1e-10),
-    ])
-    assert "cond: worst = nan at r = 2 (tol = 1.0e-10) FAIL" in report.to_text().splitlines()
-    assert not report.passed
+    # The grid reduction and the exact one over candidate (violation, ratio) pairs alike.
+    for row in (
+        verify._worst("cond", np.array([0.0, math.nan, 0.0]), np.array([1.0, 2.0, 3.0]), 1e-10),
+        verify._exact("cond", [(0.0, 1.0), (math.nan, 2.0), (0.0, 3.0)], 1e-10),
+    ):
+        assert math.isnan(row.worst_violation)
+        assert row.location == 2.0
+        assert not row.passed
+        report = verify._report("solvency", 3.0, "analytic", make_params(), [row])
+        assert "cond: worst = nan at r = 2 (tol = 1.0e-10) FAIL" in report.to_text().splitlines()
+        assert not report.passed
 
 
 def test_a_condition_without_grid_points_passes_at_zero():
@@ -324,17 +329,22 @@ def test_a_condition_without_grid_points_passes_at_zero():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mode", ["analytic", "finite-difference"])
 def test_lemma_grid_that_overflows_names_the_barrier(mode):
-    # 3 barrier is the grid's top end; past float range the grid would read [alpha0, inf].
-    for barrier in (math.inf, 1e308):
-        with pytest.raises(DomainError, match=re.escape(f"overflows at barrier = {barrier!r}")):
-            check_solvency_lemma(solvency_params(), barrier=barrier, mode=mode)
+    # 3 barrier is the fd grid's top end; past float range the grid would read [alpha0, inf].
+    # Analytic mode has no grid: it judges such a barrier on [alpha0, inf) and fails it.
+    cases = [(check_solvency_lemma, solvency_params(), b) for b in (math.inf, 1e308)]
     # Where z2 - z1 is just above 1, the band weights stay finite at barrier 1e308.
     flat = make_params(mu_A=0.02001, mu_L=0.02, delta=0.02002, kappa=1.05)
-    with pytest.raises(DomainError, match=re.escape("overflows at barrier = 1e+308")):
-        check_injection_lemma(flat, barrier=1e308, mode=mode)
+    cases.append((check_injection_lemma, flat, 1e308))
     # At inf the band weights are finite, so the grid fails as in the solvency check.
-    with pytest.raises(DomainError, match=re.escape("overflows at barrier = inf")):
-        check_injection_lemma(injection_params(), barrier=math.inf, mode=mode)
+    cases.append((check_injection_lemma, injection_params(), math.inf))
+    for check, p, barrier in cases:
+        if mode == "finite-difference":
+            with pytest.raises(DomainError, match=re.escape(f"overflows at barrier = {barrier!r}")):
+                check(p, barrier=barrier, mode=mode)
+        else:
+            report = check(p, barrier=barrier, mode=mode)
+            assert "grid = [1, inf) (exact)" in report.to_text().splitlines()
+            assert not report.passed
 
 
 @pytest.mark.parametrize("check", [check_solvency_lemma, check_injection_lemma])
@@ -356,10 +366,10 @@ def test_non_finite_generator_residuals_fail_the_lemma():
 
 
 def test_generator_rows_stay_finite_where_squares_overflow():
-    # The grid runs to r = 3e200: r * r and rc * rc overflow there, the generator
-    # terms do not, so the detuned barrier is judged, not failed on a NaN.
+    # At the barrier 1e200, r * r overflows and the generator terms do not, so the
+    # detuned barrier is judged, not failed on a NaN.
     report = check_solvency_lemma(solvency_params(), barrier=1e200)
-    assert "grid = [1, 2.9999999999999999e+200] x 512 (log)" in report.to_text().splitlines()
+    assert "grid = [1, inf) (exact)" in report.to_text().splitlines()
     assert all(math.isfinite(c.worst_violation) for c in report.condition_results)
     flagged = [c.condition_id for c in report.condition_results if not c.passed]
     assert flagged == ["slope-at-least-one"]
@@ -372,22 +382,28 @@ def test_grid_pass_matches_per_point_calls(problem, mode, monkeypatch):
     # per entry, except the residual's sum, which was an fsum per point.
     p, level, fn = optimal_case(problem)
     monkeypatch.setattr(verify, "N_GRID", 64)
-    r, value, r_eff, parts, gen = verify._grid_pass(fn, p, level, mode)
+    if mode == "analytic":
+        # No grid: the certificates' Python-float reads of the band formula against the
+        # array calls at the same ratios, equal up to math's exp and log against numpy's.
+        band = verify._Band(fn, p)
+        for x in np.geomspace(p.alpha0, level, verify.N_GRID).tolist():
+            read = band.read(x)
+            d1, d2, d11, _, _ = fn.partials(x, 1.0)
+            got, want = (read.value, read.d1, read.d2, read.d11), (fn.evaluate(x, 1.0), d1, d2, d11)
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+            assert abs(read.gen) <= 8 * np.finfo(float).eps
+        return
+    r, value, r_eff, parts, gen = verify._grid_pass(fn, p, level)
     for i in range(r.size):
         assert value[i] == fn.evaluate(float(r[i]), 1.0)
-    if mode == "analytic":
-        assert r_eff is r
-    else:
-        # Kept exactly where the whole stencil lies at or above alpha0 and misses the kink.
-        spans = [verify._stencil_span(float(x)) for x in r]
-        keep = [lo >= p.alpha0 and not lo <= level <= hi for lo, hi in spans]
-        assert not keep[0] and sum(keep) == r.size - 1  # r[0] = alpha0
-        assert r_eff.tolist() == r[keep].tolist()
+    # Kept exactly where the whole stencil lies at or above alpha0 and misses the kink.
+    spans = [verify._stencil_span(float(x)) for x in r]
+    keep = [lo >= p.alpha0 and not lo <= level <= hi for lo, hi in spans]
+    assert not keep[0] and sum(keep) == r.size - 1  # r[0] = alpha0
+    assert r_eff.tolist() == r[keep].tolist()
     assert parts.shape == (r_eff.size, 5) and gen.shape == r_eff.shape
     for i, x in enumerate(r_eff.tolist()):
-        scalar_parts = (
-            fn.partials(x, 1.0) if mode == "analytic" else verify._fd_partials(fn, x)[1]
-        )
+        scalar_parts = verify._fd_partials(fn, x)[1]
         assert tuple(parts[i]) == tuple(scalar_parts)
         terms = (*verify._generator_terms(scalar_parts, x, p), -p.delta * fn.evaluate(x, 1.0))
         expected = math.fsum(terms) / max(sum(abs(t) for t in terms), 1e-300)
@@ -406,7 +422,7 @@ def test_fd_rows_skip_ratios_within_a_stencil_of_the_kink_and_of_alpha0(problem,
     far += [p.alpha0 * (1.0 + width * o) for o in (1.5, 3.0)]
     grid = np.array(sorted(near + far))
     monkeypatch.setattr(verify.np, "geomspace", lambda *args: grid)
-    r, _, r_eff, parts, _ = verify._grid_pass(fn, p, level, "finite-difference")
+    r, _, r_eff, parts, _ = verify._grid_pass(fn, p, level)
     assert r is grid
     assert r_eff.tolist() == sorted(far)
     assert parts.shape == (len(far), 5)
@@ -446,7 +462,7 @@ def test_fd_floor_slope_stencil_stays_below_the_barrier():
     for rel in (1e-5, 1.5e-5):
         barrier = p.alpha0 * (1.0 + rel)
         fn = Recorder(double_barrier_value(barrier, p.alpha0, p))
-        d1_floor, _ = verify._ray(fn, p.alpha0, barrier, "finite-difference")
+        d1_floor, _ = verify._ray(fn, p.alpha0, barrier)
         assert min(fn.ratios) == p.alpha0 and max(fn.ratios) <= barrier
         assert abs(d1_floor - p.kappa) / p.kappa < verify.TOL_EQUALITY_FD
 
@@ -474,3 +490,137 @@ def test_fd_lemmas_pass_at_any_alpha0(alpha0):
     pk = make_params(alpha0=alpha0, kappa=1.05)
     assert check_solvency_lemma(ps, mode="finite-difference").passed
     assert check_injection_lemma(pk, mode="finite-difference").passed
+
+
+def test_fd_pasting_reads_no_analytic_partials(monkeypatch):
+    # Finite-difference mode checks the closed form from its values alone: with the
+    # curvatures of ClosedFormValue.partials inflated 1e4 times, the fd report is unchanged
+    # and the detuned barrier still fails c2-pasting loudly.
+    p = injection_params()
+    barrier = 1.1 * optimal_barrier_beta2(p)
+    honest = check_injection_lemma(p, barrier=barrier, mode="finite-difference")
+    partials = ClosedFormValue.partials
+
+    def inflated(self, x1, x2):
+        d1, d2, d11, d22, d12 = partials(self, x1, x2)
+        return d1, d2, 1e4 * d11, 1e4 * d22, 1e4 * d12
+
+    monkeypatch.setattr(ClosedFormValue, "partials", inflated)
+    report = check_injection_lemma(p, barrier=barrier, mode="finite-difference")
+    pasting = condition(report, "c2-pasting")
+    assert not pasting.passed
+    assert pasting.worst_violation >= 100.0 * pasting.tolerance
+    assert report == honest
+    # The worst is the barrier curvature over the one-sided one at mid-band.
+    fn = double_barrier_value(barrier, p.alpha0, p)
+    d11_mid = verify._ray(fn, 0.5 * (p.alpha0 + barrier), barrier)[1]
+    assert pasting.worst_violation == abs(verify._ray(fn, barrier, p.alpha0)[1]) / abs(d11_mid)
+
+
+def dense_worsts(problem, p, fn, n):
+    """Worst violation per condition of ``fn`` over n log-spaced ratios of [alpha0, 3 beta],
+    from the array evaluation and exact partials: the grid check the certificates replace."""
+    level = fn.beta
+    r = np.geomspace(p.alpha0, 3.0 * level, n)
+    value = fn.evaluate(r, 1.0)
+    parts = fn.partials(r, 1.0)
+    d1, d2 = parts[:2]
+    terms = (*verify._generator_terms(parts, r, p), -p.delta * value)
+    gen = sum(terms) / np.maximum(sum(np.abs(t) for t in terms), 1e-300)
+    top_d1, _, top_d11, _, _ = fn.partials(level, 1.0)
+
+    def worst(v):
+        return float(np.max(v)) if v.size else 0.0
+
+    rows = {"nonnegative": worst(verify._negativity(value))}
+    if problem == "solvency":
+        rows["c1-pasting"] = abs(top_d1 - 1.0)
+        rows["bounded-partials"] = 0.0 if np.isfinite([d1, d2]).all() else math.inf
+        rows["slope-at-least-one"] = worst(np.maximum(0.0, 1.0 - d1[r >= p.alpha1]))
+        rows["generator-zero-band"] = worst(np.abs(gen[(p.alpha0 < r) & (r < level)]))
+        rows["generator-nonpositive-above"] = worst(np.maximum(0.0, gen[r > p.alpha1]))
+    else:
+        mid_d11 = fn.partials(0.5 * (p.alpha0 + level), 1.0)[2]
+        floor_d1 = fn.partials(p.alpha0, 1.0)[0]
+        rows["c2-pasting"] = max(abs(top_d1 - 1.0), abs(top_d11) / max(abs(mid_d11), 1e-300),
+                                 abs(floor_d1 - p.kappa) / p.kappa)
+        rows["generator-sign"] = worst(np.maximum(0.0, gen))
+        rows["slope-corridor"] = worst(np.maximum(np.maximum(0.0, 1.0 - d1), d1 - p.kappa))
+        rows["bounded-dx2"] = 0.0 if np.isfinite(d2).all() else math.inf
+    return rows
+
+
+@pytest.mark.parametrize("problem", ["solvency", "injection"])
+def test_exact_checks_agree_with_a_dense_grid(problem):
+    # On [alpha0, 3 barrier] the certificates take the exact supremum, so each worst is at
+    # least that of 20,001 grid ratios, up to rounding, and every verdict is the same.  Each
+    # injection set runs at its drawn cost (mostly above kappa*, where the value turns
+    # negative) and halfway to kappa*, below which the optimum passes.
+    rng = np.random.default_rng(3232)
+    cases = []
+    for _ in range(20):
+        p = random_params(rng, with_kappa=True)
+        p = replace(p, alpha1=p.alpha0 * rng.uniform(1.05, 3.0))
+        cases.append(p)
+        if problem == "injection":
+            cases.append(replace(p, kappa=0.5 * (1.0 + breakeven_kappa(p, kappa_cap=10.0))))
+    check = check_solvency_lemma if problem == "solvency" else check_injection_lemma
+    for p in cases:
+        optimum = optimal_barrier_beta0(p) if problem == "solvency" else optimal_barrier_beta2(p)
+        for factor in (0.5, 0.9, 1.0, 1.1, 2.0):
+            level = factor * max(optimum, p.alpha1) if problem == "solvency" else factor * optimum
+            if level <= p.alpha0:  # no band to check
+                continue
+            fn = (closed_form_value(level, p) if problem == "solvency"
+                  else double_barrier_value(level, p.alpha0, p))
+            assert_certifies(check(p, barrier=level), dense_worsts(problem, p, fn, 20_001))
+
+
+def assert_certifies(report, dense):
+    """Each exact worst is at least the dense grid's, up to rounding, with the same verdict."""
+    assert {c.condition_id for c in report.condition_results} == set(dense)
+    for c in report.condition_results:
+        grid = dense[c.condition_id]
+        assert c.worst_violation >= grid * (1.0 - 1e-9) - 1e-12, (c, grid)
+        assert c.passed == (grid <= c.tolerance), (c, grid)
+
+
+@pytest.mark.parametrize("nudge", [1e-6, -1e-6])
+@pytest.mark.parametrize("root", ["zeta1", "zeta2"])
+@pytest.mark.parametrize("problem", ["solvency", "injection"])
+def test_a_band_off_the_characteristic_roots_is_judged_as_on_a_dense_grid(problem, root, nudge,
+                                                                          monkeypatch):
+    # A root nudged off leaves a band residual of ~1e-7 relative, of either sign: the exact
+    # check reads no less than the dense grid, with its verdicts.  Over a band reaching past
+    # the smooth-fit ratio, where the curvature terms vanish, the residual peaks inside it.
+    p, level, _ = optimal_case(problem)
+    if problem == "solvency":
+        build, fn = "closed_form_value", closed_form_value(2.0 * level, p)
+    else:
+        build, fn = "double_barrier_value", double_barrier_value(2.0 * level, p.alpha0, p)
+    off = replace(fn, exponents=fn.exponents._replace(
+        **{root: getattr(fn.exponents, root) * (1.0 + nudge)}))
+    monkeypatch.setattr(verify, build, lambda *args: off)
+    check = check_solvency_lemma if problem == "solvency" else check_injection_lemma
+    report = check(p, barrier=off.beta)
+    if problem == "solvency":
+        assert not condition(report, "generator-zero-band").passed
+    assert_certifies(report, dense_worsts(problem, p, off, 20_001))
+
+
+def test_exact_check_flags_a_dip_between_grid_points(monkeypatch):
+    # A hand-built band value that falls through zero just below its barrier: V(beta) is
+    # -1e-9, and V < 0 only within ~2e-9 of beta, where no ratio of the 512-point grid lies.
+    p = solvency_params()
+    e = exponents(p)
+    beta = 2.0
+    dip = ClosedFormValue(beta=beta, gamma=p.alpha0, alpha0=p.alpha0, kappa=None, exponents=e,
+                          A=1.0, B=-(beta ** e.zeta1 + 1e-9) / beta ** e.zeta2)
+    assert -1.1e-9 < dip.evaluate(beta, 1.0) < -0.9e-9 < 0.0 < dip.evaluate(beta * (1 - 1e-8), 1.0)
+    monkeypatch.setattr(verify, "closed_form_value", lambda level, q: dip)
+    exact = condition(check_solvency_lemma(p, barrier=beta), "nonnegative")
+    assert not exact.passed
+    assert exact.worst_violation == pytest.approx(1e-9, rel=0.1) and exact.location == beta
+    grid = condition(check_solvency_lemma(p, barrier=beta, mode="finite-difference"), "nonnegative")
+    assert grid.passed and grid.worst_violation == 0.0
+    assert dense_worsts("solvency", p, dip, verify.N_GRID)["nonnegative"] == 0.0
