@@ -154,13 +154,17 @@ class ClosedFormValue:
         return x1, x2, rc, slope, self.A * np.exp(z1 * lu), self.B * np.exp(z2 * lu)
 
     def band_terms(self, r: float) -> tuple[float, float]:
-        """A u^zeta1 and B u^zeta2 at one band ratio r >= gamma, in Python floats; a u^zeta2
-        past float range reads inf, as in ``evaluate``."""
+        """A u^zeta1 and B u^zeta2 at one band ratio r >= gamma, in Python floats; where
+        u^zeta2 passes float range, B u^zeta2 is taken in log space, inf only past it too."""
         u = r / self.gamma
         try:
             t2 = self.B * _rpow(u, self.exponents.zeta2)
         except OverflowError:
-            t2 = self.B * math.inf
+            lt = math.log(abs(self.B)) + self.exponents.zeta2 * math.log(u) if self.B else -math.inf
+            try:
+                t2 = math.copysign(math.exp(lt), self.B)
+            except OverflowError:
+                t2 = self.B * math.inf
         return self.A * _rpow(u, self.exponents.zeta1), t2  # u^zeta1 <= 1
 
     def band_root(self, k1: float, k2: float) -> float | None:

@@ -21,23 +21,29 @@ x1-slope or the x1-curvature at a ray, read from inside the band.  Residuals
 of (A - delta)f are reported relative to the sum of the magnitudes of the
 individual terms, which is the natural scale for a sum that should cancel.
 
-Analytic mode certifies each condition exactly on the whole half-line
-[alpha0, inf), from a few Python floats.  On the band [alpha0, beta] the
-value is A u^zeta1 + B u^zeta2 with u = r / alpha0, and its slope and
-curvature are two-power sums too.  A two-power sum a u^p + b u^q turns at
-most once, where u^(q - p) = -a p / (b q), so its extremes on an interval lie
-at the ends or there.  (A - delta) takes u^zeta to Q(zeta) u^zeta, Q the sum
-of the generator's raw terms on that power, so the band residual is
-A Q(zeta1) u^zeta1 + B Q(zeta2) u^zeta2 over the sum of its terms'
-magnitudes, each term a two-power sum of one sign change at most: between
-those sign changes it is a ratio of linear functions of u^(zeta2 - zeta1),
-so its extremes lie at the band ends or at them.  Above
-beta the value is linear, and its residual (mu_A - delta) r +
-(mu_L - delta)(V(beta) - beta) falls as r grows, over its terms' magnitudes
-too where it is positive, so its supremum is at beta.  Each row reports
-where its worst lies.
+Each lemma writes its conditions once, as one list of rows: a row applies
+its violation formula to a list of reads (a ratio with the value, x1-slope,
+x2-slope, x1-curvature and residual there) or to the pasting scalars, and
+reports the worst.  The two modes differ only in the reads they supply, both
+in Python floats.
 
-Finite-difference mode checks the same conditions on a dense logarithmic
+Analytic mode certifies each condition exactly on the whole half-line
+[alpha0, inf), from a few reads of the band formula.  On the band
+[alpha0, beta] the value is A u^zeta1 + B u^zeta2 with u = r / alpha0, and
+its slope and curvature are two-power sums too.  A two-power sum
+a u^p + b u^q turns at most once, where u^(q - p) = -a p / (b q), so its
+extremes on an interval lie at the ends or there.  (A - delta) takes u^zeta
+to Q(zeta) u^zeta, Q the sum of the generator's raw terms on that power, so
+the band residual is A Q(zeta1) u^zeta1 + B Q(zeta2) u^zeta2 over the sum
+of its terms' magnitudes, each term a two-power sum of one sign change at
+most: between those sign changes it is a ratio of linear functions of
+u^(zeta2 - zeta1), so its extremes lie at the band ends or at them.  Above
+beta the value is linear, and one read stands for that whole branch: its
+residual (mu_A - delta) r + (mu_L - delta)(V(beta) - beta) falls as r
+grows, over its terms' magnitudes too where it is positive, so its supremum
+is at its lowest ratio.  Each row reports where its worst lies.
+
+Finite-difference mode reads the same conditions on a dense logarithmic
 grid of funding ratios [alpha0, 3 beta], in one array pass over the whole
 grid, with central 9-point stencils of steps 1e-5 relative to each
 coordinate, evaluating all nine points of every stencil in one call; a grid
@@ -53,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -175,13 +182,25 @@ def _tolerances(mode: str) -> tuple[float, float]:
     return MODES[mode]
 
 
-def _grid_pass(fn, p: ModelParams, level: float):
-    """Evaluate ``fn`` at the ``N_GRID`` ratios of the lemma grid [alpha0, 3 level] at once.
+class _Read(NamedTuple):
+    """One ratio's value, x1-slope, x2-slope, x1-curvature and residual; a value read
+    leaves the rest NaN."""
 
-    Returns arrays of the grid ratios r, the values H(r, 1), the ratios
-    r_eff whose stencil lies at or above alpha0 and on one side of the kink
-    at ``level``, the central-difference partials at r_eff (one row each)
-    and (A - delta)H / scale at r_eff.
+    r: float
+    value: float
+    d1: float = math.nan
+    d2: float = math.nan
+    d11: float = math.nan
+    gen: float = math.nan
+
+
+def _grid_pass(fn, p: ModelParams, level: float):
+    """Read ``fn`` at the ``N_GRID`` ratios of the lemma grid [alpha0, 3 level] at once.
+
+    Returns a value read at every grid ratio (its partials and residual NaN)
+    and a full read at every ratio whose stencil lies at or above alpha0 and
+    on one side of the kink at ``level``: the central-difference partials and
+    (A - delta)H / scale there, in Python floats.
     """
     if not math.isfinite(3.0 * level):
         raise DomainError(f"the lemma grid [alpha0, 3 barrier] overflows at barrier = {level!r}")
@@ -192,38 +211,18 @@ def _grid_pass(fn, p: ModelParams, level: float):
     value_eff, parts = _fd_partials(fn, r_eff)
     terms = (*_generator_terms(parts, r_eff, p), -p.delta * value_eff)
     gen = sum(terms) / np.maximum(sum(np.abs(t) for t in terms), 1e-300)
-    return r, value, r_eff, np.column_stack(parts), gen
+    columns = (r_eff, value_eff, *parts[:3], gen)
+    return (list(map(_Read, r.tolist(), value.tolist())),
+            list(map(_Read, *(c.tolist() for c in columns))))
 
 
-def _negativity(value: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, -value) / np.maximum(1.0, np.abs(value))
-
-
-def _result(condition_id: str, worst: float, at: float, tolerance: float) -> ConditionResult:
-    worst += 0.0  # a zero worst is +0, never -0
-    return ConditionResult(condition_id, worst, at, tolerance, worst <= tolerance)
-
-
-def _worst(condition_id: str, violation, location, tolerance: float) -> ConditionResult:
-    """Largest violation of one condition over a grid and the first ratio where it occurs.
-
-    No point checked counts as a pass at 0; a NaN anywhere fails the
-    condition and is reported at the first NaN.
-    """
-    v = np.asarray(violation, dtype=float)
-    if v.size == 0:
-        return _result(condition_id, 0.0, math.nan, tolerance)
-    nans = np.flatnonzero(np.isnan(v))
-    i = int(nans[0]) if nans.size else int(np.argmax(v))
-    return _result(condition_id, float(v[i]), float(location[i]), tolerance)
-
-
-def _exact(condition_id: str, candidates, tolerance: float) -> ConditionResult:
+def _worst(condition_id: str, candidates: list, tolerance: float) -> ConditionResult:
     """The worst of (violation, ratio) candidates, the first NaN or else the first largest;
     no candidate counts as a pass at 0."""
     nans = [c for c in candidates if c[0] != c[0]]
-    worst, at = nans[0] if nans else max(candidates, key=lambda c: c[0], default=(0.0, math.nan))
-    return _result(condition_id, worst, at, tolerance)
+    worst, at = nans[0] if nans else max(candidates, key=itemgetter(0), default=(0.0, math.nan))
+    worst += 0.0  # a zero worst is +0, never -0
+    return ConditionResult(condition_id, worst, at, tolerance, worst <= tolerance)
 
 
 def _report(problem: str, level: float, mode: str, p: ModelParams, rows) -> VerificationReport:
@@ -248,29 +247,21 @@ def _finite(*xs: float) -> float:
     return 0.0 if all(map(math.isfinite, xs)) else math.inf
 
 
-class _Read(NamedTuple):
-    """The band formula at one ratio: value, x1-slope, x2-slope, x1-curvature, residual."""
-
-    r: float
-    value: float
-    d1: float
-    d2: float
-    d11: float
-    gen: float
-
-
 class _Band:
-    """Python-float reads of a barrier value on its band [gamma, beta].
+    """Python-float reads of a barrier value on its band [gamma, beta] and above it.
 
     On the band each generator term, and the value, is a two-power sum
     coef(zeta1) A u^zeta1 + coef(zeta2) B u^zeta2, the coefficients read off
     the raw generator terms of one power at (1, 1); their sum Q(zeta), not
     one rebuilt from sigma~^2, shows how far the float roots are from solving
-    the generator equation.
+    the generator equation.  The band ends bound the value from below on
+    [gamma, inf): it rises with slope one above the barrier, and it turns
+    inside the band only where A and B share a sign, which it then keeps, and
+    at a minimum only where that sign is positive.
     """
 
     def __init__(self, fn, p: ModelParams):
-        self.fn, self.z1, self.z2 = fn, fn.exponents.zeta1, fn.exponents.zeta2
+        self.fn, self.p, self.z1, self.z2 = fn, p, fn.exponents.zeta1, fn.exponents.zeta2
         self.c1, self.c2 = self.z1 * (self.z1 - 1.0), self.z2 * (self.z2 - 1.0)
         self.coef1, self.coef2 = ((*_generator_terms((z, 1.0 - z, c, c, -c), 1.0, p), -p.delta)
                                   for z, c in ((self.z1, self.c1), (self.z2, self.c2)))
@@ -289,6 +280,18 @@ class _Band:
             (self.q1 * t1 + self.q2 * t2) / max(scale, 1e-300),
         )
 
+    def linear(self, top: _Read, lo: float) -> _Read:
+        """The linear branch above the barrier read ``top``, for all of [lo, inf), lo >= beta.
+
+        There the value is r + c with c = V(beta) - beta, its x2-slope, and the
+        residual's numerator (mu_A - delta) r + (mu_L - delta) c falls as r
+        grows; where it is positive so does its quotient by the terms'
+        magnitudes, so the residual's supremum on [lo, inf) is its read at lo.
+        """
+        p, c, value = self.p, top.value - top.r, top.value + (lo - top.r)
+        terms = (p.mu_A * lo, p.mu_L * c, -p.delta * value)
+        return _Read(lo, value, 1.0, c, 0.0, sum(terms) / max(sum(map(abs, terms)), 1e-300))
+
     def sweep(self, lo: _Read, hi: _Read, *pairs: tuple[float, float]) -> list[_Read]:
         """lo, in increasing order the ratios strictly between where k1 A u^zeta1 +
         k2 B u^zeta2 changes sign for each (k1, k2) of ``pairs`` (once at most each), and
@@ -298,66 +301,6 @@ class _Band:
         roots = (self.fn.band_root(k1, k2) for k1, k2 in pairs)
         inner = sorted(r for r in roots if r is not None and lo.r < r < hi.r)
         return [lo, *map(self.read, inner), hi]
-
-
-def _linear(p: ModelParams, top: _Read, lo: float) -> tuple[float, float]:
-    """max(0, residual of (A - delta)) at lo >= beta on the linear branch, where the value
-    is r + c with c = V(beta) - beta: its numerator (mu_A - delta) r + (mu_L - delta) c
-    falls as r grows, and where it is positive so does its quotient by the terms'
-    magnitudes, so the supremum on [lo, inf) is at lo."""
-    c = top.value - top.r  # the x2-slope above the barrier
-    terms = (p.mu_A * lo, p.mu_L * c, -p.delta * (top.value + (lo - top.r)))
-    return _plus(sum(terms) / max(sum(map(abs, terms)), 1e-300)), lo
-
-
-def _nonnegative(floor: _Read, top: _Read) -> ConditionResult:
-    """H >= 0 on [alpha0, inf) from the band ends: the value rises with slope one above the
-    barrier, and it turns inside the band only where A and B share a sign, which it then
-    keeps, and at a minimum only where that sign is positive."""
-    candidates = [(_plus(-x.value) / max(1.0, abs(x.value)), x.r) for x in (floor, top)]
-    return _exact("nonnegative", candidates, TOL_INEQUALITY)
-
-
-def _solvency_exact(cf, p: ModelParams, alpha1: float, tol_eq: float, tol_ineq: float):
-    band, lo, hi = _Band(cf, p), p.alpha0, cf.beta
-    floor, top = band.read(lo), band.read(hi)
-    residual = [(x.gen, x.r) for x in band.sweep(floor, top, *band.terms)] if lo < hi else []
-    above = []  # the band part of r > alpha1
-    if alpha1 <= hi:
-        paying = band.read(alpha1)
-        slope = [(_plus(1.0 - x.d1), x.r) for x in band.sweep(paying, top, (band.c1, band.c2))]
-        if alpha1 < hi:
-            above = [(_plus(x.gen), x.r) for x in band.sweep(paying, top, *band.terms)]
-    else:  # the slope is one on the whole pay region above the barrier
-        slope = [(0.0, alpha1)]
-    return [
-        _nonnegative(floor, top),
-        _exact("c1-pasting", [(abs(top.d1 - 1.0), hi)], tol_eq),
-        _exact("bounded-partials", [(_finite(floor.d1, floor.d2), lo),
-                                    (_finite(top.d1, top.d2, top.value - hi), hi)], TOL_INEQUALITY),
-        _exact("slope-at-least-one", slope, tol_ineq),
-        _exact("generator-zero-band", [(abs(g), r) for g, r in residual], tol_eq),
-        _exact("generator-nonpositive-above", [*above, _linear(p, top, max(alpha1, hi))], tol_ineq),
-    ]
-
-
-@np.errstate(all="ignore")  # the report shows where values stop being finite
-def _solvency_grid(cf, p: ModelParams, alpha1: float, tol_eq: float, tol_ineq: float):
-    level = cf.beta
-    r, value, r_eff, parts, gen = _grid_pass(cf, p, level)
-    d1_top = _ray(cf, level, p.alpha0)[0]  # a barrier at alpha0 fails on NaN
-    pay = r_eff >= alpha1
-    band = (p.alpha0 < r_eff) & (r_eff < level)
-    above = r_eff > alpha1
-    finite = np.isfinite(parts[:, :2]).all(axis=1)
-    return [
-        _worst("nonnegative", _negativity(value), r, TOL_INEQUALITY),
-        _worst("c1-pasting", [abs(d1_top - 1.0)], [level], tol_eq),
-        _worst("bounded-partials", np.where(finite, 0.0, math.inf), r_eff, TOL_INEQUALITY),
-        _worst("slope-at-least-one", np.maximum(0.0, 1.0 - parts[pay, 0]), r_eff[pay], tol_ineq),
-        _worst("generator-zero-band", np.abs(gen[band]), r_eff[band], tol_eq),
-        _worst("generator-nonpositive-above", np.maximum(0.0, gen[above]), r_eff[above], tol_ineq),
-    ]
 
 
 def check_solvency_lemma(
@@ -378,45 +321,35 @@ def check_solvency_lemma(
     tol_eq, tol_ineq = _tolerances(mode)
     alpha1 = require_alpha1(p)
     level = constrained_barrier_beta1(p) if barrier is None else float(barrier)
-    rows = _solvency_exact if mode == "analytic" else _solvency_grid
-    conditions = rows(closed_form_value(level, p), p, alpha1, tol_eq, tol_ineq)
-    return _report("solvency", level, mode, p, conditions)
-
-
-def _injection_exact(dv, p: ModelParams, kappa: float, tol_eq: float, tol_ineq: float):
-    band, lo, hi = _Band(dv, p), p.alpha0, dv.beta
-    floor, top, mid = band.read(lo), band.read(hi), band.read(0.5 * (lo + hi))
-    pasting = [(abs(top.d1 - 1.0), hi), (abs(top.d11) / max(abs(mid.d11), 1e-300), hi),
-               (abs(floor.d1 - kappa) / kappa, lo)]
-    residual = [(_plus(x.gen), x.r) for x in band.sweep(floor, top, *band.terms)]
-    return [
-        _exact("c2-pasting", pasting, tol_eq),
-        _nonnegative(floor, top),
-        _exact("generator-sign", [*residual, _linear(p, top, hi)], tol_ineq),
-        _exact("slope-corridor", [(_plus(max(1.0 - x.d1, x.d1 - kappa)), x.r)
-                                  for x in band.sweep(floor, top, (band.c1, band.c2))], tol_ineq),
-        _exact("bounded-dx2", [(_finite(floor.d2), lo), (_finite(top.d2, top.value - hi), hi)],
+    cf = closed_form_value(level, p)
+    if mode == "analytic":
+        band = _Band(cf, p)
+        floor, top = band.read(p.alpha0), band.read(level)
+        linear = band.linear(top, max(alpha1, level))
+        values, reads, d1_top = [floor, top], [floor, top, linear], top.d1  # see _Band
+        inside = band.sweep(floor, top, *band.terms) if p.alpha0 < level else []
+        pay = above = [linear]
+        if alpha1 <= level:
+            paying = band.read(alpha1)
+            pay = [*band.sweep(paying, top, (band.c1, band.c2)), linear]
+            if alpha1 < level:  # a binding floor puts the barrier at alpha1: no band above it
+                above = [*band.sweep(paying, top, *band.terms), linear]
+    else:
+        with np.errstate(all="ignore"):  # the report shows where values stop being finite
+            values, reads = _grid_pass(cf, p, level)
+            d1_top = float(_ray(cf, level, p.alpha0)[0])  # a barrier at alpha0 fails on NaN
+        inside = [x for x in reads if p.alpha0 < x.r < level]
+        pay = [x for x in reads if x.r >= alpha1]
+        above = [x for x in reads if x.r > alpha1]
+    return _report("solvency", level, mode, p, [
+        _worst("nonnegative", [(_plus(-x.value) / max(1.0, abs(x.value)), x.r) for x in values],
                TOL_INEQUALITY),
-    ]
-
-
-@np.errstate(all="ignore")
-def _injection_grid(dv, p: ModelParams, kappa: float, tol_eq: float, tol_ineq: float):
-    level = dv.beta
-    r, value, r_eff, parts, gen = _grid_pass(dv, p, level)
-    d1_top, d11_top = _ray(dv, level, p.alpha0)
-    d1_floor = _ray(dv, p.alpha0, level)[0]  # the stencil stays below the kink
-    d11_mid = _ray(dv, 0.5 * (p.alpha0 + level), level)[1]
-    pasting = [abs(d1_top - 1.0), abs(d11_top) / max(abs(d11_mid), 1e-300),
-               abs(d1_floor - kappa) / kappa]
-    d1 = parts[:, 0]
-    return [
-        _worst("c2-pasting", pasting, [level, level, p.alpha0], tol_eq),
-        _worst("nonnegative", _negativity(value), r, TOL_INEQUALITY),
-        _worst("generator-sign", np.maximum(0.0, gen), r_eff, tol_ineq),
-        _worst("slope-corridor", np.maximum(np.maximum(0.0, 1.0 - d1), d1 - kappa), r_eff, tol_ineq),
-        _worst("bounded-dx2", np.where(np.isfinite(parts[:, 1]), 0.0, math.inf), r_eff, TOL_INEQUALITY),
-    ]
+        _worst("c1-pasting", [(abs(d1_top - 1.0), level)], tol_eq),
+        _worst("bounded-partials", [(_finite(x.d1, x.d2), x.r) for x in reads], TOL_INEQUALITY),
+        _worst("slope-at-least-one", [(_plus(1.0 - x.d1), x.r) for x in pay], tol_ineq),
+        _worst("generator-zero-band", [(abs(x.gen), x.r) for x in inside], tol_eq),
+        _worst("generator-nonpositive-above", [(_plus(x.gen), x.r) for x in above], tol_ineq),
+    ])
 
 
 def check_injection_lemma(
@@ -437,9 +370,34 @@ def check_injection_lemma(
     tol_eq, tol_ineq = _tolerances(mode)
     kappa = require_kappa(p)
     level = optimal_barrier_beta2(p) if barrier is None else float(barrier)
-    rows = _injection_exact if mode == "analytic" else _injection_grid
-    conditions = rows(double_barrier_value(level, p.alpha0, p), p, kappa, tol_eq, tol_ineq)
-    return _report("injection", level, mode, p, conditions)
+    dv = double_barrier_value(level, p.alpha0, p)
+    mid = 0.5 * (p.alpha0 + level)
+    if mode == "analytic":
+        band = _Band(dv, p)
+        floor, top = band.read(p.alpha0), band.read(level)
+        linear = band.linear(top, level)
+        values, reads = [floor, top], [floor, top, linear]  # the band ends bound H: see _Band
+        residual = [*band.sweep(floor, top, *band.terms), linear]
+        slope = [*band.sweep(floor, top, (band.c1, band.c2)), linear]
+        d1_top, d11_top, d1_floor, d11_mid = top.d1, top.d11, floor.d1, band.read(mid).d11
+    else:
+        with np.errstate(all="ignore"):
+            values, reads = _grid_pass(dv, p, level)
+            d1_top, d11_top = map(float, _ray(dv, level, p.alpha0))
+            d1_floor = float(_ray(dv, p.alpha0, level)[0])  # the stencil stays below the kink
+            d11_mid = float(_ray(dv, mid, level)[1])
+        residual = slope = reads
+    pasting = [(abs(d1_top - 1.0), level), (abs(d11_top) / max(abs(d11_mid), 1e-300), level),
+               (abs(d1_floor - kappa) / kappa, p.alpha0)]
+    return _report("injection", level, mode, p, [
+        _worst("c2-pasting", pasting, tol_eq),
+        _worst("nonnegative", [(_plus(-x.value) / max(1.0, abs(x.value)), x.r) for x in values],
+               TOL_INEQUALITY),
+        _worst("generator-sign", [(_plus(x.gen), x.r) for x in residual], tol_ineq),
+        _worst("slope-corridor", [(_plus(max(1.0 - x.d1, x.d1 - kappa)), x.r) for x in slope],
+               tol_ineq),
+        _worst("bounded-dx2", [(_finite(x.d2), x.r) for x in reads], TOL_INEQUALITY),
+    ])
 
 
 def check_smooth_fit(p: ModelParams, problem: str) -> float | None:

@@ -32,7 +32,9 @@ def test_test_only_functions_are_gone():
         "FD_MIN_STEP", "VolatilityNotPositive", "CorrelationOutOfRange", "ProfitabilityViolated",
         "DiscountTooLow", "RuinLevelNotPositive", "SolvencyLevelTooLow", "InjectionCostTooLow",
         "BracketFailure", "MonotonicityError", "EmptyInput", "GridSpec", "_CHUNK_BUDGET",
-        "_steps", "_clear_of_kink", "_pasting", "_one_sided",
+        "_steps", "_clear_of_kink", "_pasting", "_one_sided", "_solvency_exact", "_solvency_grid",
+        "_injection_exact", "_injection_grid", "_nonnegative", "_linear", "_negativity", "_exact",
+        "_result",
     ):
         assert name not in fundiv.__all__
         assert not hasattr(fundiv, name)

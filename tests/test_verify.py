@@ -305,25 +305,23 @@ def test_report_to_text_shape():
 
 
 def test_nan_anywhere_fails_its_condition():
-    # The grid reduction and the exact one over candidate (violation, ratio) pairs alike.
-    for row in (
-        verify._worst("cond", np.array([0.0, math.nan, 0.0]), np.array([1.0, 2.0, 3.0]), 1e-10),
-        verify._exact("cond", [(0.0, 1.0), (math.nan, 2.0), (0.0, 3.0)], 1e-10),
-    ):
-        assert math.isnan(row.worst_violation)
-        assert row.location == 2.0
-        assert not row.passed
-        report = verify._report("solvency", 3.0, "analytic", make_params(), [row])
-        assert "cond: worst = nan at r = 2 (tol = 1.0e-10) FAIL" in report.to_text().splitlines()
-        assert not report.passed
+    # One reduction over candidate (violation, ratio) pairs serves both modes.
+    row = verify._worst("cond", [(0.0, 1.0), (math.nan, 2.0), (0.0, 3.0), (math.nan, 4.0)], 1e-10)
+    assert math.isnan(row.worst_violation)
+    assert row.location == 2.0
+    assert not row.passed
+    report = verify._report("solvency", 3.0, "analytic", make_params(), [row])
+    assert "cond: worst = nan at r = 2 (tol = 1.0e-10) FAIL" in report.to_text().splitlines()
+    assert not report.passed
 
 
 def test_a_condition_without_grid_points_passes_at_zero():
-    # A barrier at alpha0 leaves the band (alpha0, barrier) empty.
-    report = check_solvency_lemma(solvency_params(), barrier=P1["alpha0"])
-    band = condition(report, "generator-zero-band")
-    assert band.worst_violation == 0.0 and band.passed
-    assert math.isnan(band.location)
+    # A barrier at alpha0 leaves the band (alpha0, barrier) empty, in either mode.
+    for mode in verify.MODES:
+        report = check_solvency_lemma(solvency_params(), barrier=P1["alpha0"], mode=mode)
+        band = condition(report, "generator-zero-band")
+        assert band.worst_violation == 0.0 and band.passed
+        assert math.isnan(band.location)
 
 
 @pytest.mark.filterwarnings("error")
@@ -357,12 +355,28 @@ def test_finite_difference_lemma_at_a_tiny_floor_raises_no_warning(check):
 
 
 def test_non_finite_generator_residuals_fail_the_lemma():
-    # At a barrier of 1e300 the value itself overflows far up the grid.
-    report = check_solvency_lemma(solvency_params(), barrier=1e300)
+    # At a barrier of 1e300 the value itself overflows far up the fd grid: evaluate's power
+    # u^zeta2 leaves float range there.
+    report = check_solvency_lemma(solvency_params(), barrier=1e300, mode="finite-difference")
     above = condition(report, "generator-nonpositive-above")
     assert math.isnan(above.worst_violation)
     assert not above.passed
     assert not report.passed
+
+
+@pytest.mark.parametrize("barrier", [1e300, 1e308])
+def test_exact_rows_stay_finite_where_the_band_power_alone_overflows(barrier):
+    # u^zeta2 passes float range at these barriers, B u^zeta2 does not: the band reads stay
+    # finite, and the detuned barrier still fails on its slope alone.
+    report = check_solvency_lemma(solvency_params(), barrier=barrier)
+    assert all(math.isfinite(c.worst_violation) for c in report.condition_results)
+    assert condition(report, "bounded-partials").worst_violation == 0.0
+    assert condition(report, "generator-zero-band").worst_violation < 1e-15
+    assert condition(report, "generator-nonpositive-above").worst_violation == 0.0
+    flagged = [c.condition_id for c in report.condition_results if not c.passed]
+    assert flagged == ["slope-at-least-one"]
+    pasting = condition(check_injection_lemma(injection_params(), barrier=1e300), "c2-pasting")
+    assert pasting.worst_violation == pytest.approx(0.1165, rel=1e-3) and not pasting.passed
 
 
 def test_generator_rows_stay_finite_where_squares_overflow():
@@ -393,21 +407,22 @@ def test_grid_pass_matches_per_point_calls(problem, mode, monkeypatch):
             assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
             assert abs(read.gen) <= 8 * np.finfo(float).eps
         return
-    r, value, r_eff, parts, gen = verify._grid_pass(fn, p, level)
-    for i in range(r.size):
-        assert value[i] == fn.evaluate(float(r[i]), 1.0)
+    values, reads = verify._grid_pass(fn, p, level)
+    r = np.geomspace(p.alpha0, 3.0 * level, verify.N_GRID)
+    assert [x.r for x in values] == r.tolist()
+    for x in values:
+        assert x.value == fn.evaluate(x.r, 1.0)
     # Kept exactly where the whole stencil lies at or above alpha0 and misses the kink.
     spans = [verify._stencil_span(float(x)) for x in r]
     keep = [lo >= p.alpha0 and not lo <= level <= hi for lo, hi in spans]
     assert not keep[0] and sum(keep) == r.size - 1  # r[0] = alpha0
-    assert r_eff.tolist() == r[keep].tolist()
-    assert parts.shape == (r_eff.size, 5) and gen.shape == r_eff.shape
-    for i, x in enumerate(r_eff.tolist()):
-        scalar_parts = verify._fd_partials(fn, x)[1]
-        assert tuple(parts[i]) == tuple(scalar_parts)
-        terms = (*verify._generator_terms(scalar_parts, x, p), -p.delta * fn.evaluate(x, 1.0))
+    assert [x.r for x in reads] == r[keep].tolist()
+    for x in reads:
+        value, scalar_parts = verify._fd_partials(fn, x.r)
+        assert (x.value, x.d1, x.d2, x.d11) == (value, *scalar_parts[:3])
+        terms = (*verify._generator_terms(scalar_parts, x.r, p), -p.delta * fn.evaluate(x.r, 1.0))
         expected = math.fsum(terms) / max(sum(abs(t) for t in terms), 1e-300)
-        assert gen[i] == pytest.approx(expected, rel=0, abs=8 * np.finfo(float).eps)
+        assert x.gen == pytest.approx(expected, rel=0, abs=8 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("problem", ["solvency", "injection"])
@@ -422,10 +437,10 @@ def test_fd_rows_skip_ratios_within_a_stencil_of_the_kink_and_of_alpha0(problem,
     far += [p.alpha0 * (1.0 + width * o) for o in (1.5, 3.0)]
     grid = np.array(sorted(near + far))
     monkeypatch.setattr(verify.np, "geomspace", lambda *args: grid)
-    r, _, r_eff, parts, _ = verify._grid_pass(fn, p, level)
-    assert r is grid
-    assert r_eff.tolist() == sorted(far)
-    assert parts.shape == (len(far), 5)
+    values, reads = verify._grid_pass(fn, p, level)
+    assert [x.r for x in values] == grid.tolist()
+    assert [x.r for x in reads] == sorted(far)
+    assert all(math.isfinite(x.d1 + x.d2 + x.d11 + x.gen) for x in reads)
 
 
 def test_fd_barrier_overrides_just_above_alpha0():
@@ -469,17 +484,24 @@ def test_fd_floor_slope_stencil_stays_below_the_barrier():
 
 @pytest.mark.parametrize("factor", [1.1, 0.9])
 def test_both_modes_read_one_pasting_quantity(factor):
-    # Each c2-pasting row is the x1-slope or x1-curvature at a ray in both modes, so a
-    # detuned barrier's worst pasting violation reads the same up to the stencil's error.
-    p = injection_params()
-    barrier = factor * optimal_barrier_beta2(p)
-    analytic, fd = (
-        condition(check_injection_lemma(p, barrier=barrier, mode=mode), "c2-pasting")
-        for mode in ("analytic", "finite-difference")
-    )
-    assert not analytic.passed and not fd.passed
-    assert analytic.location == fd.location
-    assert analytic.worst_violation == pytest.approx(fd.worst_violation, rel=1e-3)
+    # Both modes apply one row list to their own reads, so a detuned barrier fails the same
+    # rows in each, by the same worst at the same ratio up to the stencil's error and the
+    # grid's spacing.  Each c2-pasting row is the x1-slope or x1-curvature at a ray in both.
+    for problem in ("solvency", "injection"):
+        p, level, _ = optimal_case(problem)
+        check = check_solvency_lemma if problem == "solvency" else check_injection_lemma
+        analytic, fd = (check(p, barrier=factor * level, mode=mode).condition_results
+                        for mode in ("analytic", "finite-difference"))
+        failed = [c.condition_id for c in analytic if not c.passed]
+        assert failed and failed == [c.condition_id for c in fd if not c.passed]
+        for a, f in zip(analytic, fd):
+            if a.condition_id in failed:
+                assert a.worst_violation == pytest.approx(f.worst_violation, rel=0.03), (a, f)
+                assert a.location == pytest.approx(f.location, rel=0.01), (a, f)
+        pasting = [(a, f) for a, f in zip(analytic, fd) if a.condition_id == "c2-pasting"]
+        for a, f in pasting:
+            assert a.location == f.location
+            assert a.worst_violation == pytest.approx(f.worst_violation, rel=1e-3)
 
 
 @pytest.mark.parametrize("alpha0", [1e-300, 1e-160, 1e-12, 1e-6, 1e160, 1e300])
@@ -532,7 +554,7 @@ def dense_worsts(problem, p, fn, n):
     def worst(v):
         return float(np.max(v)) if v.size else 0.0
 
-    rows = {"nonnegative": worst(verify._negativity(value))}
+    rows = {"nonnegative": worst(np.maximum(0.0, -value) / np.maximum(1.0, np.abs(value)))}
     if problem == "solvency":
         rows["c1-pasting"] = abs(top_d1 - 1.0)
         rows["bounded-partials"] = 0.0 if np.isfinite([d1, d2]).all() else math.inf
